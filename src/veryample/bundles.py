@@ -182,7 +182,13 @@ def parse_bundle(text: str) -> Bundle:
         m = _ATOM_RE.match(chunk.strip())
         if m is None:
             raise BundleParseError(f"malformed atom {chunk.strip()!r}, expected r:d")
-        rank, degree = int(m.group(1)), int(m.group(2))
+        try:
+            rank, degree = int(m.group(1)), int(m.group(2))
+        except ValueError:  # past the interpreter's int-string digit limit
+            digits = max(len(m.group(1)), len(m.group(2).lstrip("-")))
+            raise BundleParseError(
+                f"malformed atom: an integer of {digits} digits is too long"
+            ) from None
         if rank < 1:
             raise BundleParseError(f"atom rank must be >= 1, got {rank}")
         atoms.append(IndecBundle(rank, degree))

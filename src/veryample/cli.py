@@ -71,9 +71,17 @@ def _fold_flag_values(argv: list[str]) -> list[str]:
     return folded
 
 
+def _to_int(flag: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's int-string digit limit
+        digits = len(text.lstrip("-"))
+        raise UsageError(f"{flag}: integer of {digits} digits is too long") from None
+
+
 def _single_int(flag: str, text: str) -> int:
     if _INT_RE.match(text):
-        return int(text)
+        return _to_int(flag, text)
     if _RANGE_RE.match(text):
         raise UsageError(
             f"{flag} takes a single integer here; lo..hi ranges only work with 'table'"
@@ -83,12 +91,12 @@ def _single_int(flag: str, text: str) -> int:
 
 def _int_range(flag: str, text: str) -> range:
     if _INT_RE.match(text):
-        v = int(text)
+        v = _to_int(flag, text)
         return range(v, v + 1)
     m = _RANGE_RE.match(text)
     if m is None:
         raise UsageError(f"{flag} expects an integer or lo..hi, got {text!r}")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    lo, hi = _to_int(flag, m.group(1)), _to_int(flag, m.group(2))
     if lo > hi:
         raise UsageError(f"{flag}: empty range {text!r}")
     return range(lo, hi + 1)

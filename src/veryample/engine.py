@@ -28,6 +28,7 @@ from .atiyah import pushforward_mu_minus
 from .bundles import Bundle
 from .errors import ContradictionError, DomainError
 from .rules import (
+    AMPLE_RULES,
     GLOBALLY_GENERATED_RULES,
     NORMALLY_GENERATED_RULES,
     VERY_AMPLE_RULES,
@@ -97,21 +98,10 @@ def canonical_frames(E: Bundle, D: Divisor) -> tuple[Frame, ...]:
 
 # Rows that can output No; sufficient-only rows are pointless when screening
 # restrictions for a negative witness.
-_SCREEN_IDS = frozenset(
-    {
-        "R-MIYAOKA",
-        "R-D0MODR",
-        "R-A1-INDEC",
-        "R-A1-DEC",
-        "R-RK2-INDEC",
-        "R-RK2-DEC",
-        "R-RK3-INDEC",
-        "R-RK3-DEC",
-        "R-RK3-DEC-NEC",
-        "R-R4D3",
-    }
+_SCREEN_RULES = tuple(
+    r for r in VERY_AMPLE_RULES
+    if r.strength is not Strength.SUFFICIENT and r.special != "quotient"
 )
-_SCREEN_RULES = tuple(r for r in VERY_AMPLE_RULES if r.rule_id in _SCREEN_IDS)
 
 
 @lru_cache(maxsize=2048)
@@ -170,20 +160,9 @@ def _negative_witness(Q: Bundle, D: Divisor) -> Optional[RuleFiring]:
 
 
 def _quotient_firings(rule: Rule, E: Bundle, D: Divisor) -> list[RuleFiring]:
-    if D.a < 1 or E.is_indecomposable:
-        return [
-            RuleFiring(
-                rule_id=rule.rule_id,
-                citation=rule.citation,
-                strength=None,
-                condition=f"guard not met ({rule.scope})",
-                lhs=None,
-                threshold=None,
-                strict=None,
-                outcome=Outcome.INAPPLICABLE,
-                frame=0,
-            )
-        ]
+    whole = Frame(0, E, D.a, D.b)
+    if not rule.applies(whole):
+        return [rule.evaluate(whole)]
     firings = []
     for Q in _proper_sub_multisets(E):
         witness = _negative_witness(Q, D)
@@ -238,21 +217,17 @@ def _quotient_firings(rule: Rule, E: Bundle, D: Divisor) -> list[RuleFiring]:
 
 def _evaluate_catalog(
     rules: tuple[Rule, ...], E: Bundle, D: Divisor
-) -> tuple[tuple[RuleFiring, ...], list[tuple[Fraction, bool]]]:
+) -> tuple[RuleFiring, ...]:
     frames = canonical_frames(E, D)
     firings: list[RuleFiring] = []
-    bounds: list[tuple[Fraction, bool]] = []
     for rule in rules:
         if rule.special == "quotient":
             firings.extend(_quotient_firings(rule, E, D))
             continue
         for frame in frames:
             firings.append(rule.evaluate(frame))
-            bound = rule.s_bound(frame)
-            if bound is not None:
-                bounds.append(bound)
     firings.sort(key=lambda f: (f.rule_id, f.frame))
-    return tuple(firings), bounds
+    return tuple(firings)
 
 
 _AFFIRMATIVE_RANK = {Strength.IFF: 0, Strength.SUFFICIENT: 1}
@@ -272,7 +247,7 @@ def _merge(
     E: Bundle,
     D: Divisor,
     firings: tuple[RuleFiring, ...],
-    bounds: list[tuple[Fraction, bool]],
+    rules: tuple[Rule, ...],
     lo: Optional[tuple[Fraction, bool]],
 ) -> Verdict:
     s = pushforward_mu_minus(E, D.a, D.b)
@@ -296,7 +271,11 @@ def _merge(
             property_name, Status.YES, f.strength, f.rule_id, firings,
             slope_invariant=s,
         )
-    hi = min(bounds, key=lambda t: (t[0], t[1])) if bounds else None
+    hi = min(
+        (bound for frame in canonical_frames(E, D) for rule in rules
+         if (bound := rule.window_bound(frame)) is not None),
+        default=None,
+    )
     window = Window(
         lo=lo[0] if lo else None,
         lo_strict=lo[1] if lo else True,
@@ -324,20 +303,21 @@ def applicable_rules(E: Bundle, D: Divisor) -> tuple[RuleFiring, ...]:
     """Every very-ampleness rule evaluated in every canonical frame,
     inapplicable rows included, ordered by (rule id, frame)."""
     _require_projective_bundle(E)
-    return _evaluate_catalog(VERY_AMPLE_RULES, E, D)[0]
+    return _evaluate_catalog(VERY_AMPLE_RULES, E, D)
 
 
 def classify_very_ample(E: Bundle, D: Divisor) -> Verdict:
     """Three-valued very-ampleness verdict with the full firing trail."""
     _require_projective_bundle(E)
-    firings, bounds = _evaluate_catalog(VERY_AMPLE_RULES, E, D)
-    return _merge("very_ample", E, D, firings, bounds, lo=(Fraction(0), True))
+    firings = _evaluate_catalog(VERY_AMPLE_RULES, E, D)
+    return _merge("very_ample", E, D, firings, VERY_AMPLE_RULES, lo=(Fraction(0), True))
 
 
 def classify_ample(E: Bundle, D: Divisor) -> bool:
-    """aT + bf is ample iff a >= 1 and b + a*mu^-(E) > 0 (Miyaoka)."""
+    """aT + bf is ample iff a >= 1 and b + a*mu^-(E) > 0 (Miyaoka, R-AMPLE)."""
     _require_projective_bundle(E)
-    return D.a >= 1 and pushforward_mu_minus(E, D.a, D.b) > 0
+    firings = _evaluate_catalog(AMPLE_RULES, E, D)
+    return _merge("ample", E, D, firings, AMPLE_RULES, lo=None).is_yes
 
 
 def classify_globally_generated(E: Bundle, D: Divisor) -> Verdict:
@@ -350,8 +330,8 @@ def classify_globally_generated(E: Bundle, D: Divisor) -> Verdict:
     _require_projective_bundle(E)
     if D.a < 1:
         raise DomainError(f"global generation is classified for a >= 1, got a={D.a}")
-    firings, bounds = _evaluate_catalog(GLOBALLY_GENERATED_RULES, E, D)
-    return _merge("globally_generated", E, D, firings, bounds, lo=None)
+    firings = _evaluate_catalog(GLOBALLY_GENERATED_RULES, E, D)
+    return _merge("globally_generated", E, D, firings, GLOBALLY_GENERATED_RULES, lo=None)
 
 
 def classify_normally_generated(E: Bundle, D: Divisor) -> Verdict:
@@ -360,5 +340,5 @@ def classify_normally_generated(E: Bundle, D: Divisor) -> Verdict:
     _require_projective_bundle(E)
     if D.a < 1:
         raise DomainError(f"normal generation is classified for a >= 1, got a={D.a}")
-    firings, bounds = _evaluate_catalog(NORMALLY_GENERATED_RULES, E, D)
-    return _merge("normally_generated", E, D, firings, bounds, lo=None)
+    firings = _evaluate_catalog(NORMALLY_GENERATED_RULES, E, D)
+    return _merge("normally_generated", E, D, firings, NORMALLY_GENERATED_RULES, lo=None)

@@ -12,6 +12,17 @@ not depend on the frame.  A guard that fails makes the rule inapplicable
 (no conclusion may be drawn, not even a negative one); a failed iff or
 necessary condition forces No; a failed sufficient condition forces
 nothing.
+
+Strength is data on the row.  `strength` is iff, sufficient or necessary;
+a branching row (R-RK3-INDEC, R-RK3-DEC, R-R4D3) is iff except in the
+frames where its `sufficient_when` predicate holds, where it is only
+sufficient.  Everything else the engine needs is derived from these two
+fields: the strength a firing records (`Rule.strength_in`), the label
+`veryample rules` prints, the rows that screen the quotient scrolls for
+R-QUOT-NEC (every row that is not sufficient), and the upper end of an
+Unknown window, which comes from each applicable sufficient row whose
+only comparison is on s: `s > t` leaves (.., t] open and `s >= t` leaves
+(.., t) open (`Rule.window_bound`).
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
-from .atiyah import SplitDegrees, sym_power_split
+# unused here; kept because perfbench/tracing.py wraps rules.sym_power_split
+from .atiyah import sym_power_split  # noqa: F401
 from .bundles import Bundle
 from .verdicts import Comparison, Outcome, RuleFiring, Strength
 
@@ -90,22 +102,31 @@ def rank3_exception(E: Bundle) -> bool:
 
 @dataclass(frozen=True)
 class Rule:
-    """One catalog row.  strength may depend on the frame (branching rows);
-    s_bound, when defined and the row is applicable but undecided, bounds
-    the region the row leaves open, as (value, inclusive) for the slope
-    invariant."""
+    """One catalog row.  strength is the row's strength wherever it applies,
+    except that a branching row drops to sufficient in the frames where
+    sufficient_when holds."""
 
     rule_id: str
     property_name: str
     citation: str
     scope: str
     statement: str
-    strength_label: str
+    strength: Strength
     applies: Callable[[Frame], bool]
-    strength_in: Callable[[Frame], Strength]
     comparisons: Callable[[Frame], tuple[Comparison, ...]]
-    s_bound_in: Optional[Callable[[Frame], Optional[tuple[Fraction, bool]]]] = None
+    sufficient_when: Optional[Callable[[Frame], bool]] = None
     special: Optional[str] = None
+
+    @property
+    def strength_label(self) -> str:
+        if self.sufficient_when is None:
+            return self.strength.value
+        return f"{self.strength.value} / sufficient"
+
+    def strength_in(self, frame: Frame) -> Strength:
+        if self.sufficient_when is not None and self.sufficient_when(frame):
+            return Strength.SUFFICIENT
+        return self.strength
 
     def evaluate(self, frame: Frame) -> RuleFiring:
         if not self.applies(frame):
@@ -142,10 +163,16 @@ class Rule:
             frame=frame.l,
         )
 
-    def s_bound(self, frame: Frame) -> Optional[tuple[Fraction, bool]]:
-        if self.s_bound_in is None or not self.applies(frame):
+    def window_bound(self, frame: Frame) -> Optional[tuple[Fraction, bool]]:
+        """Upper end of the range of s this row leaves open in frame, as
+        (value, inclusive), when the row applies, is sufficient there and
+        compares nothing but s."""
+        if not self.applies(frame) or self.strength_in(frame) is not Strength.SUFFICIENT:
             return None
-        return self.s_bound_in(frame)
+        comps = self.comparisons(frame)
+        if len(comps) != 1 or comps[0].label != _S_LABEL:
+            return None
+        return comps[0].rhs, comps[0].op == ">"
 
 
 # -- comparison builders ----------------------------------------------------
@@ -154,17 +181,11 @@ def _cmp(label: str, lhs, op: str, rhs) -> Comparison:
     return Comparison(label, Fraction(lhs), op, Fraction(rhs))
 
 
+_S_LABEL = "b + a*mu^-(E)"
+
+
 def _s_cmp(fr: Frame, op: str, rhs) -> Comparison:
-    return _cmp("b + a*mu^-(E)", fr.s, op, rhs)
-
-
-def _always(strength: Strength) -> Callable[[Frame], Strength]:
-    return lambda fr: strength
-
-
-def _const_bound(value, inclusive: bool):
-    bound = (Fraction(value), inclusive)
-    return lambda fr: bound
+    return _cmp(_S_LABEL, fr.s, op, rhs)
 
 
 # -- individual rows ---------------------------------------------------------
@@ -184,15 +205,6 @@ def _rk3_indec_comps(fr: Frame) -> tuple[Comparison, ...]:
     if m == 1:
         return (_s_cmp(fr, ">", 1),)
     return (_s_cmp(fr, ">", Fraction(4, 3)),)
-
-
-def _rk3_indec_bound(fr: Frame):
-    m = fr.deg % 3
-    if m == 1:
-        return (Fraction(1), True)
-    if m == 2:
-        return (Fraction(4, 3), True)
-    return None
 
 
 def _rk3_dec_nec_comps(fr: Frame) -> tuple[Comparison, ...]:
@@ -273,11 +285,6 @@ def _dge4_comps(fr: Frame) -> tuple[Comparison, ...]:
     )
 
 
-def _splitpush_comps(fr: Frame) -> tuple[Comparison, ...]:
-    split = sym_power_split(SplitDegrees.from_bundle(fr.bundle), fr.a)
-    return (_cmp("b + min deg S^a(E)", fr.b + split.min_degree, ">=", 3),)
-
-
 VERY_AMPLE_RULES: tuple[Rule, ...] = (
     Rule(
         rule_id="R-FIBER",
@@ -285,9 +292,8 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         citation="restriction to any fiber is O(a) on projective space",
         scope="every divisor",
         statement="a >= 1",
-        strength_label="necessary",
         applies=lambda fr: True,
-        strength_in=_always(Strength.NECESSARY),
+        strength=Strength.NECESSARY,
         comparisons=lambda fr: (_cmp("a", fr.a, ">=", 1),),
     ),
     Rule(
@@ -296,9 +302,8 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         citation="Miyaoka's ampleness criterion via the pushforward slope",
         scope="every divisor",
         statement="a >= 1 and b + a*mu^-(E) > 0",
-        strength_label="necessary",
         applies=lambda fr: True,
-        strength_in=_always(Strength.NECESSARY),
+        strength=Strength.NECESSARY,
         comparisons=lambda fr: (_cmp("a", fr.a, ">=", 1), _s_cmp(fr, ">", 0)),
     ),
     Rule(
@@ -307,11 +312,9 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         citation="Butler's bound on a genus-one base",
         scope="a >= 1",
         statement="b + a*mu^-(E) > 2",
-        strength_label="sufficient",
         applies=lambda fr: fr.a >= 1,
-        strength_in=_always(Strength.SUFFICIENT),
+        strength=Strength.SUFFICIENT,
         comparisons=lambda fr: (_s_cmp(fr, ">", 2),),
-        s_bound_in=_const_bound(2, True),
     ),
     Rule(
         rule_id="R-MU3",
@@ -319,24 +322,9 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         citation="degree >= 3 line bundles on an elliptic curve are very ample",
         scope="a >= 1",
         statement="b + a*mu^-(E) >= 3",
-        strength_label="sufficient",
         applies=lambda fr: fr.a >= 1,
-        strength_in=_always(Strength.SUFFICIENT),
+        strength=Strength.SUFFICIENT,
         comparisons=lambda fr: (_s_cmp(fr, ">=", 3),),
-        s_bound_in=_const_bound(3, False),
-    ),
-    Rule(
-        rule_id="R-SPLITPUSH",
-        property_name="very_ample",
-        citation="split pushforward: line summands of the image bundle",
-        scope="a >= 1, every summand a line bundle",
-        statement="b + min deg S^a(E) >= 3",
-        strength_label="sufficient",
-        applies=lambda fr: fr.a >= 1
-        and all(atom.rank == 1 for atom in fr.bundle.atoms),
-        strength_in=_always(Strength.SUFFICIENT),
-        comparisons=_splitpush_comps,
-        s_bound_in=_const_bound(3, False),
     ),
     Rule(
         rule_id="R-D0MODR",
@@ -344,9 +332,8 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         citation="Gushel's criterion for twists of degree-zero bundles",
         scope="a >= 1, indecomposable, deg = 0 (mod rank)",
         statement="b + a*mu(E) >= 3",
-        strength_label="iff",
         applies=lambda fr: fr.a >= 1 and fr.indec and fr.deg % fr.rank == 0,
-        strength_in=_always(Strength.IFF),
+        strength=Strength.IFF,
         comparisons=lambda fr: (_cmp("b + a*mu(E)", fr.b + fr.a * fr.mu, ">=", 3),),
     ),
     Rule(
@@ -355,9 +342,8 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         citation="Gushel's classification for a = 1",
         scope="a = 1, indecomposable",
         statement="b + mu(E) >= 3 when deg = 0 (mod rank), else b + mu(E) >= 2",
-        strength_label="iff",
         applies=lambda fr: fr.a == 1 and fr.indec,
-        strength_in=_always(Strength.IFF),
+        strength=Strength.IFF,
         comparisons=lambda fr: (
             _cmp(
                 "b + mu(E)",
@@ -373,9 +359,8 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         citation="Gushel's classification for a = 1, summand by summand",
         scope="a = 1, decomposable",
         statement="every summand: b + mu(E_j) >= 3 when deg = 0 (mod rank), else >= 2",
-        strength_label="iff",
         applies=lambda fr: fr.a == 1 and not fr.indec,
-        strength_in=_always(Strength.IFF),
+        strength=Strength.IFF,
         comparisons=_a1_dec_comps,
     ),
     Rule(
@@ -384,9 +369,8 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         citation="Biancofiore-Livorni thresholds for elliptic ruled surfaces",
         scope="a >= 2, rank 2, indecomposable",
         statement="deg even: b + a*mu^-(E) >= 3; deg odd: b + a*mu^-(E) > 1",
-        strength_label="iff",
         applies=lambda fr: fr.a >= 2 and fr.rank == 2 and fr.indec,
-        strength_in=_always(Strength.IFF),
+        strength=Strength.IFF,
         comparisons=lambda fr: (
             _s_cmp(fr, ">=", 3) if fr.deg % 2 == 0 else _s_cmp(fr, ">", 1),
         ),
@@ -397,9 +381,8 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         citation="rank-2 split threshold via unisecant sections",
         scope="a >= 2, rank 2, decomposable",
         statement="b + a*mu^-(E) >= 3",
-        strength_label="iff",
         applies=lambda fr: fr.a >= 2 and fr.rank == 2 and not fr.indec,
-        strength_in=_always(Strength.IFF),
+        strength=Strength.IFF,
         comparisons=lambda fr: (_s_cmp(fr, ">=", 3),),
     ),
     Rule(
@@ -412,13 +395,10 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
             "deg = 1: sufficient b + a*mu^-(E) > 1; "
             "deg = 2: sufficient b + a*mu^-(E) > 4/3"
         ),
-        strength_label="iff (deg = 0 mod 3) / sufficient (else)",
         applies=lambda fr: fr.a >= 2 and fr.rank == 3 and fr.indec,
-        strength_in=lambda fr: Strength.IFF
-        if fr.deg % 3 == 0
-        else Strength.SUFFICIENT,
+        strength=Strength.IFF,
         comparisons=_rk3_indec_comps,
-        s_bound_in=_rk3_indec_bound,
+        sufficient_when=lambda fr: fr.deg % 3 != 0,
     ),
     Rule(
         rule_id="R-RK3-DEC",
@@ -426,15 +406,10 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         citation="rank-3 split classification",
         scope="a >= 2, rank 3, decomposable",
         statement="b + a*mu^-(E) >= 3 (iff outside the exceptional family)",
-        strength_label="iff / sufficient (exceptional family)",
         applies=lambda fr: fr.a >= 2 and fr.rank == 3 and not fr.indec,
-        strength_in=lambda fr: Strength.SUFFICIENT
-        if rank3_exception(fr.bundle)
-        else Strength.IFF,
+        strength=Strength.IFF,
         comparisons=lambda fr: (_s_cmp(fr, ">=", 3),),
-        s_bound_in=lambda fr: (Fraction(3), False)
-        if rank3_exception(fr.bundle)
-        else None,
+        sufficient_when=lambda fr: rank3_exception(fr.bundle),
     ),
     Rule(
         rule_id="R-RK3-DEC-NEC",
@@ -446,9 +421,8 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
             "line W plus rank-2 G: b + a*deg(W) >= 3 and "
             "(deg G even: b + a*deg(G)/2 >= 3; deg G odd: b + a*deg(G)/2 > 1)"
         ),
-        strength_label="necessary",
         applies=lambda fr: fr.a >= 1 and fr.rank == 3 and not fr.indec,
-        strength_in=_always(Strength.NECESSARY),
+        strength=Strength.NECESSARY,
         comparisons=_rk3_dec_nec_comps,
     ),
     Rule(
@@ -462,10 +436,10 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         statement=(
             "indecomposable: iff b + a >= 3; decomposable: sufficient b + a/2 > 2"
         ),
-        strength_label="iff (indecomposable) / sufficient (decomposable)",
         applies=_r4d3_applies,
-        strength_in=lambda fr: Strength.IFF if fr.indec else Strength.SUFFICIENT,
+        strength=Strength.IFF,
         comparisons=_r4d3_comps,
+        sufficient_when=lambda fr: not fr.indec,
     ),
     Rule(
         rule_id="R-D3ANYR",
@@ -473,13 +447,12 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         citation="degree-3 induction bound, any rank >= 4",
         scope="a >= 2, rank >= 4, frame degree 3, E ample, b + a*mu^-(E) > 3/5",
         statement="b + a/2 > 2 and b + a/3 > 1/3",
-        strength_label="sufficient",
         applies=lambda fr: fr.a >= 2
         and fr.rank >= 4
         and fr.deg == 3
         and fr.ample
         and fr.s > Fraction(3, 5),
-        strength_in=_always(Strength.SUFFICIENT),
+        strength=Strength.SUFFICIENT,
         comparisons=lambda fr: (
             _cmp("b + a/2", fr.b + Fraction(fr.a, 2), ">", 2),
             _cmp("b + a/3", fr.b + Fraction(fr.a, 3), ">", Fraction(1, 3)),
@@ -494,9 +467,8 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
             "rank 4: b + a/2 > 2; rank >= 5: b + a/2 > 2 and b + a/3 > 1/3 "
             "and b + 2a/r > 1 + 1/r"
         ),
-        strength_label="sufficient",
         applies=lambda fr: fr.a >= 2 and fr.rank >= 4 and fr.deg == 2 and fr.indec,
-        strength_in=_always(Strength.SUFFICIENT),
+        strength=Strength.SUFFICIENT,
         comparisons=_d2_indec_comps,
     ),
     Rule(
@@ -508,13 +480,12 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
             "rank 4: b + a/2 > 2 and b + a*mu^-(E) > 3/2; "
             "rank >= 5: b + a*mu^-(E) > 1 + 2/r and b + a/3 > 1/3 and b + a/2 > 2"
         ),
-        strength_label="sufficient",
         applies=lambda fr: fr.a >= 2
         and fr.rank >= 4
         and fr.deg == 2
         and not fr.indec
         and fr.ample,
-        strength_in=_always(Strength.SUFFICIENT),
+        strength=Strength.SUFFICIENT,
         comparisons=_d2_dec_comps,
     ),
     Rule(
@@ -526,13 +497,12 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
             "rank 4: b + a/2 > 2; rank 5: b + a/3 > 3/2 and b + a/2 > 2; "
             "rank >= 6: b + a/(r-2) > 1 + 2/(r-1) and b + a/2 > 2"
         ),
-        strength_label="sufficient",
         applies=lambda fr: fr.a >= 2
         and fr.rank >= 4
         and fr.deg == 1
         and fr.indec
         and fr.b + Fraction(fr.a, fr.rank) > 1,
-        strength_in=_always(Strength.SUFFICIENT),
+        strength=Strength.SUFFICIENT,
         comparisons=_d1_indec_comps,
     ),
     Rule(
@@ -541,9 +511,8 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         citation="mid-degree induction bound, 4 <= deg < rank",
         scope="a >= 2, 4 <= frame degree < rank, E ample",
         statement="b + a/(d-1) > 2 and b + (a-1)*mu^-(E) > 0",
-        strength_label="sufficient",
         applies=lambda fr: fr.a >= 2 and 4 <= fr.deg < fr.rank and fr.ample,
-        strength_in=_always(Strength.SUFFICIENT),
+        strength=Strength.SUFFICIENT,
         comparisons=_dge4_comps,
     ),
     Rule(
@@ -552,12 +521,11 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         citation="corank-one bound, rank = degree + 1",
         scope="a >= 2, indecomposable, frame degree >= 4, rank = degree + 1",
         statement="b + (a-1)*mu(E) > 0 and b + a > 2",
-        strength_label="sufficient",
         applies=lambda fr: fr.a >= 2
         and fr.indec
         and fr.deg >= 4
         and fr.rank == fr.deg + 1,
-        strength_in=_always(Strength.SUFFICIENT),
+        strength=Strength.SUFFICIENT,
         comparisons=lambda fr: (
             _cmp(
                 "b + (a-1)*mu(E)",
@@ -577,9 +545,8 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
             "every proper summand sub-sum Q: the restriction to P(Q) admits "
             "no negative rule (rank-1 Q: b + a*deg(Q) >= 3)"
         ),
-        strength_label="necessary",
         applies=lambda fr: fr.a >= 1 and not fr.indec,
-        strength_in=_always(Strength.NECESSARY),
+        strength=Strength.NECESSARY,
         comparisons=lambda fr: (),
         special="quotient",
     ),
@@ -593,9 +560,8 @@ AMPLE_RULES: tuple[Rule, ...] = (
         citation="Miyaoka's ampleness criterion via the pushforward slope",
         scope="every divisor",
         statement="a >= 1 and b + a*mu^-(E) > 0",
-        strength_label="iff",
         applies=lambda fr: True,
-        strength_in=_always(Strength.IFF),
+        strength=Strength.IFF,
         comparisons=lambda fr: (_cmp("a", fr.a, ">=", 1), _s_cmp(fr, ">", 0)),
     ),
 )
@@ -608,9 +574,8 @@ GLOBALLY_GENERATED_RULES: tuple[Rule, ...] = (
         citation="Gushel's global generation equivalence for a = 1",
         scope="a = 1",
         statement="b + mu^-(E) > 1",
-        strength_label="iff",
         applies=lambda fr: fr.a == 1,
-        strength_in=_always(Strength.IFF),
+        strength=Strength.IFF,
         comparisons=lambda fr: (
             _cmp("b + mu^-(E)", fr.b + fr.mu_minus, ">", 1),
         ),
@@ -621,11 +586,9 @@ GLOBALLY_GENERATED_RULES: tuple[Rule, ...] = (
         citation="global generation from the pushforward slope",
         scope="a >= 1",
         statement="b + a*mu^-(E) > 1",
-        strength_label="sufficient",
         applies=lambda fr: fr.a >= 1,
-        strength_in=_always(Strength.SUFFICIENT),
+        strength=Strength.SUFFICIENT,
         comparisons=lambda fr: (_s_cmp(fr, ">", 1),),
-        s_bound_in=_const_bound(1, True),
     ),
 )
 
@@ -637,11 +600,9 @@ NORMALLY_GENERATED_RULES: tuple[Rule, ...] = (
         citation="Butler's normal generation bound on a genus-one base",
         scope="a >= 1",
         statement="b + a*mu^-(E) > 2",
-        strength_label="sufficient",
         applies=lambda fr: fr.a >= 1,
-        strength_in=_always(Strength.SUFFICIENT),
+        strength=Strength.SUFFICIENT,
         comparisons=lambda fr: (_s_cmp(fr, ">", 2),),
-        s_bound_in=_const_bound(2, True),
     ),
 )
 

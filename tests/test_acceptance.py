@@ -10,6 +10,7 @@ two wall-clock budgets stated inline (1s for the single-divisor CLI path,
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import random
 import time
@@ -157,13 +158,16 @@ def test_criterion_5_exception_family():
     assert rejected and rejected[0].lhs == 2 and rejected[0].threshold == 3
 
 
+SWEEP_DIGEST = "fbb898da1cf9bb83fce5bb3bfd13f93ec20212c5987e5ba0e8dc1bead7c295c8"
+
+
 @criterion(6, "consistency sweep: no contradictions, twist-invariant, inside Miyaoka")
 def test_criterion_6_consistency_sweep():
     start = time.perf_counter()
     box = [(a, b) for a in range(0, 7) for b in range(-8, 9)]
     twists = [-3, -2, -1, 1, 2, 3]
 
-    def check(E: Bundle, a: int, b: int) -> None:
+    def check(E: Bundle, a: int, b: int):
         v = classify_very_ample(E, Divisor(a, b))  # raising = contradiction
         assert v.status in ("VeryAmple", "NotVeryAmple", "Unknown")
         if v.is_yes:
@@ -172,11 +176,22 @@ def test_criterion_6_consistency_sweep():
         if v.is_unknown:
             assert a >= 2
             assert 0 < v.slope_invariant <= 2
+        return v
 
-    # exhaustive slice: every bundle of rank 2..3 with atom degrees in [-3, 3]
+    # exhaustive slice: every bundle of rank 2..3 with atom degrees in [-3, 3];
+    # the digest of its verdicts (status, strength, binding rule, window) is
+    # pinned, so a refactor that moves any verdict of this slice fails here
+    digest = hashlib.sha256()
     for E in small_bundles(3, 3):
         for a, b in box:
-            check(E, a, b)
+            v = check(E, a, b)
+            strength = v.strength.value if v.strength else ""
+            window = v.unknown_window.render() if v.unknown_window else ""
+            digest.update(
+                f"{E}|{a}|{b}|{v.status}|{strength}|{v.binding_rule or ''}|"
+                f"{window}\n".encode()
+            )
+    assert digest.hexdigest() == SWEEP_DIGEST
 
     # curated higher-rank shapes, same divisor box
     spots = [parse_bundle(t) for t in (

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -38,6 +39,17 @@ class TestClassify:
         assert "status: Unknown" in out
         assert "unknown window: b + a*mu^-(E) in (0, 2]" in out
         assert "unknown reason: open-range" in out
+
+    def test_many_line_summands_at_large_a_stay_fast(self, capsys):
+        # six distinct line summands at a = 64: no step may enumerate the
+        # C(69, 5) line summands of S^a(E); same 1 s budget as criterion 1
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "classify", "--bundle",
+                           "1:0,1:1,1:2,1:3,1:4,1:5", "--a", "64", "--b", "1")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert "status: NotVeryAmple" in out
+        assert elapsed < 1.0
 
     def test_json_matches_library_verdict(self, capsys):
         code, out, _ = run(capsys, "classify", "--bundle", "3:4", "--a", "2",
@@ -108,6 +120,18 @@ class TestExitCodes:
         assert code == 2
         assert "empty range" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--bundle", "2:1", "--a", "9" * 5000, "--b", "0"),
+        ("table", "--bundle", "2:1", "--a", "2", "--b", "0.." + "9" * 5000),
+        ("classify", "--bundle", "1:0,1:" + "9" * 5000, "--a", "2", "--b", "0"),
+    ], ids=["a", "table-range", "bundle-degree"])
+    def test_oversized_integer_is_2(self, capsys, argv):
+        # past Python's int-string digit limit int() raises ValueError
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "too long" in err
+
     def test_argparse_failures_map_to_2(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
         assert run(capsys, "classify", "--bundle", "2:1", "--a", "1")[0] == 2
@@ -162,7 +186,7 @@ class TestRules:
     def test_catalog_counts(self, capsys):
         code, out, _ = run(capsys, "rules")
         assert code == 0
-        assert "very_ample: 21 rules" in out
+        assert "very_ample: 20 rules" in out
         assert "ample: 1 rules" in out
         assert "globally_generated: 2 rules" in out
         assert "normally_generated: 1 rules" in out
@@ -173,9 +197,9 @@ class TestRules:
         code, out, _ = run(capsys, "rules", "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert len(payload) == 25
+        assert len(payload) == 24
         ids = [entry["rule_id"] for entry in payload]
-        assert len(set(ids)) == 25
+        assert len(set(ids)) == 24
         butler = next(e for e in payload if e["rule_id"] == "R-BUTLER")
         assert "> 2" in butler["condition"]
         d0 = next(e for e in payload if e["rule_id"] == "R-D0MODR")

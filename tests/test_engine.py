@@ -120,7 +120,7 @@ class TestFiringTrail:
         for f in firings:
             by_rule.setdefault(f.rule_id, []).append(f.frame)
         assert set(by_rule) == {
-            "R-FIBER", "R-MIYAOKA", "R-BUTLER", "R-MU3", "R-SPLITPUSH",
+            "R-FIBER", "R-MIYAOKA", "R-BUTLER", "R-MU3",
             "R-D0MODR", "R-A1-INDEC", "R-A1-DEC", "R-RK2-INDEC", "R-RK2-DEC",
             "R-RK3-INDEC", "R-RK3-DEC", "R-RK3-DEC-NEC", "R-R4D3",
             "R-D3ANYR", "R-D2-INDEC", "R-D2-DEC", "R-D1-INDEC", "R-DGE4",
