@@ -10,6 +10,11 @@ for --a and --b.  Exit codes: 0 success, 2 parse or usage errors, 3 domain
 errors (e.g. classification on a rank-1 bundle).  Rationals render as p/q in
 text and csv, and as {"num": p, "den": q} in json.
 
+Input caps, checked before any computation: |a|, |b| (both ends of a range)
+and every atom's |degree| are at most 10^6, and the bundle's total rank is
+at most 64.  A value past a cap exits 2.  Under the caps every integer the
+CLI prints stays within a few hundred digits.
+
 Large table sweeps fan out over processes; set VERYAMPLE_NO_PARALLEL=1 to
 force sequential evaluation.  Output bytes are identical either way.
 
@@ -25,8 +30,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -46,6 +49,8 @@ from .verdicts import Verdict, frac_json, frac_text
 __all__ = ["main"]
 
 _PARALLEL_THRESHOLD = 64
+_MAX_ABS_INT = 10**6  # |a|, |b| and every atom's |degree|
+_MAX_RANK = 64  # total rank of the bundle
 _FOLD_FLAGS = ("--a", "--b", "--bundle")
 _INT_RE = re.compile(r"^-?\d+$")
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -71,12 +76,37 @@ def _fold_flag_values(argv: list[str]) -> list[str]:
     return folded
 
 
+def _shown(value: int) -> str:
+    digits = len(str(abs(value)))
+    return str(value) if digits <= 20 else f"an integer of {digits} digits"
+
+
 def _to_int(flag: str, text: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:  # past the interpreter's int-string digit limit
         digits = len(text.lstrip("-"))
         raise UsageError(f"{flag}: integer of {digits} digits is too long") from None
+    if abs(value) > _MAX_ABS_INT:
+        raise UsageError(
+            f"{flag}: {_shown(value)} is past the cap |value| <= {_MAX_ABS_INT}"
+        )
+    return value
+
+
+def _capped_bundle(text: str) -> Bundle:
+    E = parse_bundle(text)
+    if E.rank > _MAX_RANK:
+        raise UsageError(
+            f"--bundle: total rank {_shown(E.rank)} is past the cap rank <= {_MAX_RANK}"
+        )
+    for atom in E.atoms:
+        if abs(atom.degree) > _MAX_ABS_INT:
+            raise UsageError(
+                f"--bundle: atom degree {_shown(atom.degree)} is past the cap "
+                f"|degree| <= {_MAX_ABS_INT}"
+            )
+    return E
 
 
 def _single_int(flag: str, text: str) -> int:
@@ -122,7 +152,7 @@ def _print_firings(v: Verdict) -> None:
 
 
 def cmd_classify(ns: argparse.Namespace) -> int:
-    E = parse_bundle(ns.bundle)
+    E = _capped_bundle(ns.bundle)
     D = Divisor(_single_int("--a", ns.a), _single_int("--b", ns.b))
     verdict = classify_very_ample(E, D)
     if ns.format == "json":
@@ -157,7 +187,7 @@ def cmd_classify(ns: argparse.Namespace) -> int:
 # -- invariants ----------------------------------------------------------------
 
 def cmd_invariants(ns: argparse.Namespace) -> int:
-    E = parse_bundle(ns.bundle)
+    E = _capped_bundle(ns.bundle)
     D = Divisor(_single_int("--a", ns.a), _single_int("--b", ns.b))
     va = classify_very_ample(E, D)  # also validates rank >= 2
     amp = classify_ample(E, D)
@@ -273,6 +303,10 @@ def _sweep(bundle_text: str, cells: list[tuple[int, int]]) -> list[tuple]:
         len(jobs) >= _PARALLEL_THRESHOLD
         and not os.environ.get("VERYAMPLE_NO_PARALLEL")
     ):
+        # imported here: the other commands never start a pool
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             with ProcessPoolExecutor() as pool:
                 chunk = max(1, len(jobs) // (8 * (os.cpu_count() or 1)))
@@ -283,7 +317,7 @@ def _sweep(bundle_text: str, cells: list[tuple[int, int]]) -> list[tuple]:
 
 
 def cmd_table(ns: argparse.Namespace) -> int:
-    E = parse_bundle(ns.bundle)
+    E = _capped_bundle(ns.bundle)
     a_range = _int_range("--a", ns.a)
     b_range = _int_range("--b", ns.b)
     cells = [(a, b) for a in a_range for b in b_range]

@@ -151,11 +151,11 @@ def _negative_witness(Q: Bundle, D: Divisor) -> Optional[RuleFiring]:
             outcome=Outcome.NO,
             frame=0,
         )
+    # decide each row first; only the witness is worth a rendered record
     for frame in canonical_frames(Q, D):
         for rule in _SCREEN_RULES:
-            firing = rule.evaluate(frame)
-            if firing.outcome is Outcome.NO:
-                return firing
+            if rule.outcome_in(frame) is Outcome.NO:
+                return rule.evaluate(frame)
     return None
 
 

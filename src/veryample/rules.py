@@ -23,6 +23,11 @@ R-QUOT-NEC (every row that is not sufficient), and the upper end of an
 Unknown window, which comes from each applicable sufficient row whose
 only comparison is on s: `s > t` leaves (.., t] open and `s >= t` leaves
 (.., t) open (`Rule.window_bound`).
+
+Decision and record are separate: `Rule.outcome_in` decides a row in a
+frame (guard, strength there, comparisons) without rendering anything, and
+`Rule.evaluate` makes the same decision and also builds the RuleFiring with
+its rendered condition, for callers that keep the trail.
 """
 
 from __future__ import annotations
@@ -100,6 +105,15 @@ def rank3_exception(E: Bundle) -> bool:
     return two.degree % 2 == 1 and Fraction(line.degree) > Fraction(two.degree, 2)
 
 
+# A row's outcome from its strength in the frame, indexed by whether all of
+# its comparisons hold.
+_OUTCOMES = {
+    Strength.IFF: (Outcome.NO, Outcome.YES),
+    Strength.SUFFICIENT: (Outcome.INSUFFICIENT, Outcome.YES),
+    Strength.NECESSARY: (Outcome.NO, Outcome.PASS),
+}
+
+
 @dataclass(frozen=True)
 class Rule:
     """One catalog row.  strength is the row's strength wherever it applies,
@@ -128,8 +142,25 @@ class Rule:
             return Strength.SUFFICIENT
         return self.strength
 
-    def evaluate(self, frame: Frame) -> RuleFiring:
+    def _decide(
+        self, frame: Frame
+    ) -> tuple[Outcome, Optional[Strength], tuple[Comparison, ...]]:
+        # guard, then strength in this frame, then the comparisons; nothing
+        # is rendered, so a caller that only needs the outcome pays for none
         if not self.applies(frame):
+            return Outcome.INAPPLICABLE, None, ()
+        strength = self.strength_in(frame)
+        comps = self.comparisons(frame)
+        return _OUTCOMES[strength][all(c.holds for c in comps)], strength, comps
+
+    def outcome_in(self, frame: Frame) -> Outcome:
+        """What the row concludes in frame: the outcome evaluate would
+        record, without building the record."""
+        return self._decide(frame)[0]
+
+    def evaluate(self, frame: Frame) -> RuleFiring:
+        outcome, strength, comps = self._decide(frame)
+        if outcome is Outcome.INAPPLICABLE:
             return RuleFiring(
                 rule_id=self.rule_id,
                 citation=self.citation,
@@ -138,19 +169,11 @@ class Rule:
                 lhs=None,
                 threshold=None,
                 strict=None,
-                outcome=Outcome.INAPPLICABLE,
+                outcome=outcome,
                 frame=frame.l,
             )
-        comps = self.comparisons(frame)
-        ok = all(c.holds for c in comps)
-        strength = self.strength_in(frame)
-        if strength is Strength.IFF:
-            outcome = Outcome.YES if ok else Outcome.NO
-        elif strength is Strength.SUFFICIENT:
-            outcome = Outcome.YES if ok else Outcome.INSUFFICIENT
-        else:
-            outcome = Outcome.PASS if ok else Outcome.NO
-        deciding = comps[0] if ok else next(c for c in comps if not c.holds)
+        # the first failing comparison decides; if all hold, the first one
+        deciding = next((c for c in comps if not c.holds), comps[0])
         return RuleFiring(
             rule_id=self.rule_id,
             citation=self.citation,
@@ -167,9 +190,9 @@ class Rule:
         """Upper end of the range of s this row leaves open in frame, as
         (value, inclusive), when the row applies, is sufficient there and
         compares nothing but s."""
-        if not self.applies(frame) or self.strength_in(frame) is not Strength.SUFFICIENT:
+        _, strength, comps = self._decide(frame)
+        if strength is not Strength.SUFFICIENT:
             return None
-        comps = self.comparisons(frame)
         if len(comps) != 1 or comps[0].label != _S_LABEL:
             return None
         return comps[0].rhs, comps[0].op == ">"

@@ -132,6 +132,36 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "too long" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("invariants", "--bundle", "2:1", "--a", "9" * 3000, "--b", "0"),
+        ("invariants", "--bundle", "5000:1", "--a", "10", "--b", "0"),
+        ("classify", "--bundle", "1:0,1:99999999", "--a", "9" * 4299, "--b", "0"),
+        ("table", "--bundle", "2:99999999", "--a", "9" * 4299, "--b", "0",
+         "--format", "csv"),
+    ], ids=["invariants-a", "invariants-rank", "classify-degree", "table-degree"])
+    def test_value_past_a_cap_is_2(self, capsys, argv):
+        # uncapped, each of these reaches an integer past Python's 4,300-digit
+        # int-string limit when rendered, and exits 1 with a traceback
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "past the cap" in err
+
+    def test_caps_are_inclusive(self, capsys):
+        ok = ("classify", "--bundle", "2:1000000", "--a", "1000000", "--b", "-1000000")
+        assert run(capsys, *ok)[0] == 0
+        assert run(capsys, "classify", "--bundle", "64:1", "--a", "2", "--b", "0")[0] == 0
+        for argv in (
+            ("classify", "--bundle", "2:1000001", "--a", "2", "--b", "0"),
+            ("classify", "--bundle", "2:-1000001", "--a", "2", "--b", "0"),
+            ("classify", "--bundle", "2:1", "--a", "-1000001", "--b", "0"),
+            ("classify", "--bundle", "2:1", "--a", "2", "--b", "1000001"),
+            ("table", "--bundle", "2:1", "--a", "2", "--b", "-1000001..0"),
+            ("classify", "--bundle", "32:1,33:0", "--a", "2", "--b", "0"),
+        ):
+            assert run(capsys, *argv)[0] == 2, argv
+
     def test_argparse_failures_map_to_2(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
         assert run(capsys, "classify", "--bundle", "2:1", "--a", "1")[0] == 2
@@ -205,6 +235,18 @@ class TestRules:
         d0 = next(e for e in payload if e["rule_id"] == "R-D0MODR")
         assert ">= 3" in d0["condition"]
         assert d0["strength"] == "iff"
+
+
+def test_import_leaves_the_process_pool_out():
+    # only a parallel table sweep needs concurrent.futures; a classify or
+    # invariants process should not pay to import it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, veryample.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point():

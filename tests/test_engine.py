@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from veryample import (
     rank3_exception,
 )
 from veryample.engine import _merge
+from veryample.rules import VERY_AMPLE_RULES
 from veryample.verdicts import RuleFiring
 
 from conftest import bundles, small_bundles
@@ -157,6 +159,48 @@ class TestFiringTrail:
         d0 = [f for f in firings if f.rule_id == "R-D0MODR"]
         assert all(f.outcome is Outcome.INAPPLICABLE for f in d0)
         assert all("guard not met" in f.condition for f in d0)
+
+    # sha256 of the trail of the sweep below, byte for byte: rule id, frame,
+    # outcome, strength and rendered condition of every firing
+    TRAIL_DIGEST = "f56150285bd11c27e88d040e9e19dd4697769b32a20c16a9dbbe3b10d3e822f0"
+
+    def test_full_trail_is_pinned(self):
+        # decomposable bundles, so R-QUOT-NEC screens sub-sums of rank 1..6
+        # with every kind of witness; every field of every firing is hashed
+        sweep = [E for E in small_bundles(4, 1) if not E.is_indecomposable] + [
+            parse_bundle(text) for text in (
+                "1:-2,1:-1,1:0,1:1,1:2",
+                "1:-1,1:0,1:1,2:1,2:3",
+                "1:-3,1:-1,1:0,1:2,1:4,1:6",
+                "1:-3,1:-2,1:-1,1:0,1:1,1:2,1:3",
+            )
+        ]
+        assert len(sweep) == 77
+        digest = hashlib.sha256()
+        count = 0
+        for E in sweep:
+            for a in range(1, 5):
+                for b in range(-3, 4):
+                    for f in classify_very_ample(E, Divisor(a, b)).firings:
+                        strength = f.strength.value if f.strength else ""
+                        digest.update(
+                            f"{E}|{a}|{b}|{f.rule_id}|{f.frame}|{f.outcome.value}|"
+                            f"{strength}|{f.condition}\n".encode()
+                        )
+                        count += 1
+        assert count == 96_600
+        assert digest.hexdigest() == self.TRAIL_DIGEST
+
+    def test_outcome_in_matches_evaluate(self):
+        rows = [rule for rule in VERY_AMPLE_RULES if rule.special is None]
+        for E in small_bundles(4, 2):
+            for a in range(0, 5):
+                for b in range(-5, 6):
+                    for frame in canonical_frames(E, Divisor(a, b)):
+                        for rule in rows:
+                            assert rule.outcome_in(frame) is rule.evaluate(frame).outcome, (
+                                rule.rule_id, str(E), a, b, frame.l,
+                            )
 
 
 class TestMergeContract:
