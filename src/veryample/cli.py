@@ -11,12 +11,10 @@ errors (e.g. classification on a rank-1 bundle).  Rationals render as p/q in
 text and csv, and as {"num": p, "den": q} in json.
 
 Input caps, checked before any computation: |a|, |b| (both ends of a range)
-and every atom's |degree| are at most 10^6, and the bundle's total rank is
-at most 64.  A value past a cap exits 2.  Under the caps every integer the
-CLI prints stays within a few hundred digits.
-
-Large table sweeps fan out over processes; set VERYAMPLE_NO_PARALLEL=1 to
-force sequential evaluation.  Output bytes are identical either way.
+and every atom's |degree| are at most 10^6, the bundle's total rank is at
+most 64 with at most 12 distinct atoms, and a table has at most 10^5 cells.
+A value past a cap exits 2.  Under the caps every integer the CLI prints
+stays within a few hundred digits.
 
 argparse quirk: a bare value like -2..3 looks like an option, so argv is
 pre-folded into --flag=value form before parsing.
@@ -27,10 +25,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bundles import Bundle, BundleParseError, parse_bundle
@@ -48,9 +44,10 @@ from .verdicts import Verdict, frac_json, frac_text
 
 __all__ = ["main"]
 
-_PARALLEL_THRESHOLD = 64
 _MAX_ABS_INT = 10**6  # |a|, |b| and every atom's |degree|
 _MAX_RANK = 64  # total rank of the bundle
+_MAX_ATOMS = 12  # distinct atoms: the quotient screen is 2^n in them
+_MAX_CELLS = 10**5  # cells of one table
 _FOLD_FLAGS = ("--a", "--b", "--bundle")
 _INT_RE = re.compile(r"^-?\d+$")
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -106,6 +103,11 @@ def _capped_bundle(text: str) -> Bundle:
                 f"--bundle: atom degree {_shown(atom.degree)} is past the cap "
                 f"|degree| <= {_MAX_ABS_INT}"
             )
+    distinct = len(set(E.atoms))
+    if distinct > _MAX_ATOMS:
+        raise UsageError(
+            f"--bundle: {distinct} distinct atoms is past the cap atoms <= {_MAX_ATOMS}"
+        )
     return E
 
 
@@ -282,56 +284,31 @@ def _verdict_summary_json(v: Optional[Verdict]) -> Optional[dict]:
 
 # -- table ---------------------------------------------------------------------
 
-def _table_cell(job: tuple[str, int, int]) -> tuple[int, int, str, str, str, int, int]:
-    bundle_text, a, b = job
-    verdict = classify_very_ample(parse_bundle(bundle_text), Divisor(a, b))
-    s = verdict.slope_invariant
-    return (
-        a,
-        b,
-        verdict.status,
-        verdict.strength.value if verdict.strength else "",
-        verdict.binding_rule or "",
-        s.numerator,
-        s.denominator,
-    )
-
-
-def _sweep(bundle_text: str, cells: list[tuple[int, int]]) -> list[tuple]:
-    jobs = [(bundle_text, a, b) for a, b in cells]
-    if (
-        len(jobs) >= _PARALLEL_THRESHOLD
-        and not os.environ.get("VERYAMPLE_NO_PARALLEL")
-    ):
-        # imported here: the other commands never start a pool
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            with ProcessPoolExecutor() as pool:
-                chunk = max(1, len(jobs) // (8 * (os.cpu_count() or 1)))
-                return list(pool.map(_table_cell, jobs, chunksize=chunk))
-        except (BrokenProcessPool, OSError, PermissionError):
-            pass  # sandboxes without fork fall back to sequential
-    return [_table_cell(job) for job in jobs]
-
-
 def cmd_table(ns: argparse.Namespace) -> int:
     E = _capped_bundle(ns.bundle)
     a_range = _int_range("--a", ns.a)
     b_range = _int_range("--b", ns.b)
-    cells = [(a, b) for a in a_range for b in b_range]
-    rows = _sweep(str(E), cells)
+    cells = len(a_range) * len(b_range)
+    if cells > _MAX_CELLS:
+        raise UsageError(
+            f"--a/--b: {cells} cells is past the cap cells <= {_MAX_CELLS}"
+        )
+    # only the table's fields of each verdict are kept; dropping the firing
+    # trail at once keeps memory proportional to the cells
+    rows = []
+    for a in a_range:
+        for b in b_range:
+            v = classify_very_ample(E, Divisor(a, b))
+            strength = v.strength.value if v.strength else None
+            rows.append((a, b, v.status, strength, v.binding_rule, v.slope_invariant))
 
     if ns.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(
             ["a", "b", "status", "strength", "binding_rule", "slope_invariant"]
         )
-        for a, b, status, strength, binding, num, den in rows:
-            writer.writerow(
-                [a, b, status, strength, binding, frac_text(Fraction(num, den))]
-            )
+        for a, b, status, strength, binding, s in rows:
+            writer.writerow([a, b, status, strength or "", binding or "", frac_text(s)])
         return 0
     if ns.format == "json":
         payload = {
@@ -341,11 +318,11 @@ def cmd_table(ns: argparse.Namespace) -> int:
                     "a": a,
                     "b": b,
                     "status": status,
-                    "strength": strength or None,
-                    "binding_rule": binding or None,
-                    "slope_invariant": frac_json(Fraction(num, den)),
+                    "strength": strength,
+                    "binding_rule": binding,
+                    "slope_invariant": frac_json(s),
                 }
-                for a, b, status, strength, binding, num, den in rows
+                for a, b, status, strength, binding, s in rows
             ],
         }
         print(json.dumps(payload, indent=2))
@@ -353,15 +330,8 @@ def cmd_table(ns: argparse.Namespace) -> int:
     print(f"bundle: {E} (rank {E.rank}, degree {E.degree})")
     header = ("a", "b", "status", "strength", "binding_rule", "slope_invariant")
     text_rows = [
-        (
-            str(a),
-            str(b),
-            status,
-            strength or "-",
-            binding or "-",
-            frac_text(Fraction(num, den)),
-        )
-        for a, b, status, strength, binding, num, den in rows
+        (str(a), str(b), status, strength or "-", binding or "-", frac_text(s))
+        for a, b, status, strength, binding, s in rows
     ]
     widths = [
         max(len(header[i]), *(len(row[i]) for row in text_rows))

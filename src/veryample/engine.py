@@ -144,14 +144,11 @@ def _negative_witness(Q: Bundle, D: Divisor) -> Optional[RuleFiring]:
             rule_id="curve threshold",
             citation="very ampleness on an elliptic curve",
             strength=Strength.IFF,
-            condition=comp.render(),
-            lhs=comp.lhs,
-            threshold=comp.rhs,
-            strict=False,
             outcome=Outcome.NO,
             frame=0,
+            comparisons=(comp,),
         )
-    # decide each row first; only the witness is worth a rendered record
+    # decide each row first; only the witness is worth a record
     for frame in canonical_frames(Q, D):
         for rule in _SCREEN_RULES:
             if rule.outcome_in(frame) is Outcome.NO:
@@ -167,49 +164,28 @@ def _quotient_firings(rule: Rule, E: Bundle, D: Divisor) -> list[RuleFiring]:
     for Q in _proper_sub_multisets(E):
         witness = _negative_witness(Q, D)
         if witness is None:
-            comp = (
+            note = f"restriction to P({Q}): no negative rule applies; "
+            comps = (
                 _curve_comparison(Q, D)
                 if Q.rank == 1
                 else Comparison(
-                    f"b + a*mu^-({Q})",
-                    D.b + D.a * Q.mu_minus,
-                    ">",
-                    Fraction(0),
-                )
-            )
-            firings.append(
-                RuleFiring(
-                    rule_id=rule.rule_id,
-                    citation=rule.citation,
-                    strength=Strength.NECESSARY,
-                    condition=(
-                        f"restriction to P({Q}): no negative rule applies; "
-                        + comp.render()
-                    ),
-                    lhs=comp.lhs,
-                    threshold=comp.rhs,
-                    strict=comp.op == ">",
-                    outcome=Outcome.PASS,
-                    frame=0,
-                )
+                    f"b + a*mu^-({Q})", D.b + D.a * Q.mu_minus, ">", Fraction(0)
+                ),
             )
         else:
-            firings.append(
-                RuleFiring(
-                    rule_id=rule.rule_id,
-                    citation=rule.citation,
-                    strength=Strength.NECESSARY,
-                    condition=(
-                        f"restriction to P({Q}) is rejected by "
-                        f"{witness.rule_id}: {witness.condition}"
-                    ),
-                    lhs=witness.lhs,
-                    threshold=witness.threshold,
-                    strict=witness.strict,
-                    outcome=Outcome.NO,
-                    frame=0,
-                )
+            note = f"restriction to P({Q}) is rejected by {witness.rule_id}: "
+            comps = witness.comparisons
+        firings.append(
+            RuleFiring(
+                rule_id=rule.rule_id,
+                citation=rule.citation,
+                strength=Strength.NECESSARY,
+                outcome=Outcome.PASS if witness is None else Outcome.NO,
+                frame=0,
+                comparisons=comps,
+                note=note,
             )
+        )
     return firings
 
 

@@ -25,9 +25,9 @@ only comparison is on s: `s > t` leaves (.., t] open and `s >= t` leaves
 (.., t) open (`Rule.window_bound`).
 
 Decision and record are separate: `Rule.outcome_in` decides a row in a
-frame (guard, strength there, comparisons) without rendering anything, and
-`Rule.evaluate` makes the same decision and also builds the RuleFiring with
-its rendered condition, for callers that keep the trail.
+frame (guard, strength there, comparisons) without building anything, and
+`Rule.evaluate` makes the same decision and keeps it as a RuleFiring that
+holds the comparisons; their text is rendered only when the trail is read.
 """
 
 from __future__ import annotations
@@ -160,30 +160,18 @@ class Rule:
 
     def evaluate(self, frame: Frame) -> RuleFiring:
         outcome, strength, comps = self._decide(frame)
-        if outcome is Outcome.INAPPLICABLE:
-            return RuleFiring(
-                rule_id=self.rule_id,
-                citation=self.citation,
-                strength=None,
-                condition=f"guard not met ({self.scope})",
-                lhs=None,
-                threshold=None,
-                strict=None,
-                outcome=outcome,
-                frame=frame.l,
-            )
-        # the first failing comparison decides; if all hold, the first one
-        deciding = next((c for c in comps if not c.holds), comps[0])
         return RuleFiring(
             rule_id=self.rule_id,
             citation=self.citation,
             strength=strength,
-            condition="; ".join(c.render() for c in comps),
-            lhs=deciding.lhs,
-            threshold=deciding.rhs,
-            strict=deciding.op == ">",
             outcome=outcome,
             frame=frame.l,
+            comparisons=comps,
+            note=(
+                f"guard not met ({self.scope})"
+                if outcome is Outcome.INAPPLICABLE
+                else ""
+            ),
         )
 
     def window_bound(self, frame: Frame) -> Optional[tuple[Fraction, bool]]:

@@ -92,17 +92,49 @@ class Comparison:
 
 @dataclass(frozen=True)
 class RuleFiring:
-    """One rule evaluated against one divisor in one frame."""
+    """One rule evaluated against one divisor in one frame.
+
+    The record keeps the comparisons the rule made and a note that prefixes
+    them: why the rule did not apply, or which restriction it speaks for.
+    The condition text and the deciding lhs, threshold and strictness are
+    derived from those two when read, so a firing nobody prints is never
+    rendered.
+    """
 
     rule_id: str
     citation: str
     strength: Optional[Strength]
-    condition: str
-    lhs: Optional[Fraction]
-    threshold: Optional[Fraction]
-    strict: Optional[bool]
     outcome: Outcome
     frame: int
+    comparisons: tuple[Comparison, ...] = ()
+    note: str = ""
+
+    @property
+    def deciding(self) -> Optional[Comparison]:
+        """The first failing comparison; if all hold, the first one."""
+        return next(
+            (c for c in self.comparisons if not c.holds),
+            self.comparisons[0] if self.comparisons else None,
+        )
+
+    @property
+    def condition(self) -> str:
+        return self.note + "; ".join(c.render() for c in self.comparisons)
+
+    @property
+    def lhs(self) -> Optional[Fraction]:
+        c = self.deciding
+        return None if c is None else c.lhs
+
+    @property
+    def threshold(self) -> Optional[Fraction]:
+        c = self.deciding
+        return None if c is None else c.rhs
+
+    @property
+    def strict(self) -> Optional[bool]:
+        c = self.deciding
+        return None if c is None else c.op == ">"
 
     def to_json_dict(self) -> dict:
         return {

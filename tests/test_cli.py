@@ -1,11 +1,13 @@
-"""Command line surface: formats, exit codes, parallel determinism."""
+"""Command line surface: formats, exit codes, agreement with the library."""
 
 from __future__ import annotations
 
+import csv
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -162,6 +164,28 @@ class TestExitCodes:
         ):
             assert run(capsys, *argv)[0] == 2, argv
 
+    def test_table_past_the_cell_cap_is_2(self, capsys):
+        # 1001 x 100 = 100,100 cells; the cap is checked before any cell is
+        # built or classified
+        code, out, err = run(capsys, "table", "--bundle", "2:1", "--a", "1..1001",
+                             "--b", "1..100")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "past the cap" in err
+
+    def test_distinct_atom_cap(self, capsys):
+        # the quotient screen is 2^n in distinct atoms: 12 pass, 13 exit 2;
+        # a = 0 keeps the screen from running on the accepted bundle
+        twelve = ",".join(f"1:{d}" for d in range(12))
+        assert run(capsys, "classify", "--bundle", twelve, "--a", "0", "--b", "3")[0] == 0
+        code, out, err = run(capsys, "classify", "--bundle", twelve + ",1:12",
+                             "--a", "2", "--b", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "past the cap" in err
+
     def test_argparse_failures_map_to_2(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
         assert run(capsys, "classify", "--bundle", "2:1", "--a", "1")[0] == 2
@@ -201,15 +225,52 @@ class TestTable:
         row = out.splitlines()[-1]
         assert "Unknown" in row and "-" in row
 
-    def test_parallel_and_sequential_agree(self, capsys, monkeypatch):
-        argv = ("table", "--bundle", "2:1", "--a", "1..8", "--b", "-3..4",
-                "--format", "csv")
-        monkeypatch.setenv("VERYAMPLE_NO_PARALLEL", "1")
-        _, sequential, _ = run(capsys, *argv)
-        monkeypatch.delenv("VERYAMPLE_NO_PARALLEL")
-        _, parallel, _ = run(capsys, *argv)
-        assert len(sequential.splitlines()) == 65
-        assert parallel == sequential
+    def test_every_format_agrees_with_the_library(self, capsys):
+        # differential gate: every row of every format carries the library
+        # verdict's status, strength, binding rule and slope invariant
+        for bundle in ("2:1", "3:4", "1:2,2:3"):
+            E = parse_bundle(bundle)
+            expected = []
+            for a in range(0, 5):
+                for b in range(-5, 6):
+                    v = classify_very_ample(E, Divisor(a, b))
+                    strength = v.strength.value if v.strength else None
+                    expected.append(
+                        (a, b, v.status, strength, v.binding_rule, v.slope_invariant)
+                    )
+            argv = ("table", "--bundle", bundle, "--a", "0..4", "--b", "-5..5")
+
+            code, out, _ = run(capsys, *argv, "--format", "csv")
+            assert code == 0
+            csv_rows = [
+                (int(a), int(b), status, strength or None, binding or None, Fraction(s))
+                for a, b, status, strength, binding, s in csv.reader(out.splitlines()[1:])
+            ]
+
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code == 0
+            json_rows = [
+                (row["a"], row["b"], row["status"], row["strength"], row["binding_rule"],
+                 Fraction(row["slope_invariant"]["num"], row["slope_invariant"]["den"]))
+                for row in json.loads(out)["rows"]
+            ]
+
+            code, out, _ = run(capsys, *argv, "--format", "text")
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[1].split() == [
+                "a", "b", "status", "strength", "binding_rule", "slope_invariant",
+            ]
+            text_rows = [
+                (int(a), int(b), status, None if strength == "-" else strength,
+                 None if binding == "-" else binding, Fraction(s))
+                for a, b, status, strength, binding, s in (line.split() for line in lines[2:])
+            ]
+
+            assert len(expected) == 55
+            assert csv_rows == expected, bundle
+            assert json_rows == expected, bundle
+            assert text_rows == expected, bundle
 
 
 class TestRules:

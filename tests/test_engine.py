@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -160,9 +161,9 @@ class TestFiringTrail:
         assert all(f.outcome is Outcome.INAPPLICABLE for f in d0)
         assert all("guard not met" in f.condition for f in d0)
 
-    # sha256 of the trail of the sweep below, byte for byte: rule id, frame,
-    # outcome, strength and rendered condition of every firing
-    TRAIL_DIGEST = "f56150285bd11c27e88d040e9e19dd4697769b32a20c16a9dbbe3b10d3e822f0"
+    # sha256 of the trail of the sweep below, byte for byte: every field
+    # to_json_dict emits for every firing, the derived ones included
+    TRAIL_DIGEST = "e15c67457641327709866e4c43ce07235cde4c5492abf4cab4d7c47f232506b6"
 
     def test_full_trail_is_pinned(self):
         # decomposable bundles, so R-QUOT-NEC screens sub-sums of rank 1..6
@@ -182,11 +183,8 @@ class TestFiringTrail:
             for a in range(1, 5):
                 for b in range(-3, 4):
                     for f in classify_very_ample(E, Divisor(a, b)).firings:
-                        strength = f.strength.value if f.strength else ""
-                        digest.update(
-                            f"{E}|{a}|{b}|{f.rule_id}|{f.frame}|{f.outcome.value}|"
-                            f"{strength}|{f.condition}\n".encode()
-                        )
+                        fields = json.dumps(f.to_json_dict(), sort_keys=True)
+                        digest.update(f"{E}|{a}|{b}|{fields}\n".encode())
                         count += 1
         assert count == 96_600
         assert digest.hexdigest() == self.TRAIL_DIGEST
@@ -208,8 +206,7 @@ class TestMergeContract:
     def _firing(rule_id, strength, outcome):
         return RuleFiring(
             rule_id=rule_id, citation="synthetic", strength=strength,
-            condition="synthetic", lhs=Fraction(0), threshold=Fraction(0),
-            strict=False, outcome=outcome, frame=0,
+            outcome=outcome, frame=0, note="synthetic",
         )
 
     def test_simultaneous_yes_and_no_aborts(self):
