@@ -11,6 +11,7 @@ the rank-3 families are visible as diagonal bands of ?.
 from __future__ import annotations
 
 import argparse
+from typing import Optional, Sequence
 
 from veryample import Divisor, classify_very_ample, parse_bundle
 
@@ -33,7 +34,7 @@ def panel(text: str, a_max: int, b_lo: int, b_hi: int) -> None:
     print()
 
 
-def main() -> None:
+def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bundles", default=";".join(DEFAULT_BUNDLES),
                         help="semicolon-separated list of r:d,... bundles "
@@ -41,7 +42,7 @@ def main() -> None:
     parser.add_argument("--a-max", type=int, default=6)
     parser.add_argument("--b-min", type=int, default=-5)
     parser.add_argument("--b-max", type=int, default=5)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     for text in (t.strip() for t in args.bundles.split(";") if t.strip()):
         panel(text, args.a_max, args.b_min, args.b_max)

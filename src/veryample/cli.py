@@ -11,10 +11,13 @@ errors (e.g. classification on a rank-1 bundle).  Rationals render as p/q in
 text and csv, and as {"num": p, "den": q} in json.
 
 Input caps, checked before any computation: |a|, |b| (both ends of a range)
-and every atom's |degree| are at most 10^6, the bundle's total rank is at
-most 64 with at most 12 distinct atoms, and a table has at most 10^5 cells.
-A value past a cap exits 2.  Under the caps every integer the CLI prints
-stays within a few hundred digits.
+and every atom's |degree| are at most 10^6, and the bundle's total rank is
+at most 64.  The quotient screen of R-QUOT-NEC looks at every proper
+sub-sum of the atoms, of which there are prod(m_i + 1) - 2 when the
+distinct atoms occur m_1, m_2, ... times; that product is at most 2^12
+(12 distinct atoms, say).  A table has at most 10^5 cells, and its cells
+times that product are at most 2^20.  A value past a cap exits 2.  Under
+the caps every integer the CLI prints stays within a few hundred digits.
 
 argparse quirk: a bare value like -2..3 looks like an option, so argv is
 pre-folded into --flag=value form before parsing.
@@ -27,6 +30,8 @@ import csv
 import json
 import re
 import sys
+from collections import Counter
+from math import prod
 from typing import Optional, Sequence
 
 from .bundles import Bundle, BundleParseError, parse_bundle
@@ -46,8 +51,9 @@ __all__ = ["main"]
 
 _MAX_ABS_INT = 10**6  # |a|, |b| and every atom's |degree|
 _MAX_RANK = 64  # total rank of the bundle
-_MAX_ATOMS = 12  # distinct atoms: the quotient screen is 2^n in them
+_MAX_SCREEN = 2**12  # prod(m_i + 1): the quotient screen's sub-sums, plus 2
 _MAX_CELLS = 10**5  # cells of one table
+_MAX_TABLE_SCREEN = 2**20  # a table's cells times its bundle's screen size
 _FOLD_FLAGS = ("--a", "--b", "--bundle")
 _INT_RE = re.compile(r"^-?\d+$")
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -103,12 +109,18 @@ def _capped_bundle(text: str) -> Bundle:
                 f"--bundle: atom degree {_shown(atom.degree)} is past the cap "
                 f"|degree| <= {_MAX_ABS_INT}"
             )
-    distinct = len(set(E.atoms))
-    if distinct > _MAX_ATOMS:
+    screen = _screen_size(E)
+    if screen > _MAX_SCREEN:
         raise UsageError(
-            f"--bundle: {distinct} distinct atoms is past the cap atoms <= {_MAX_ATOMS}"
+            f"--bundle: quotient screen size prod(m_i + 1) = {screen} over the "
+            f"atom multiplicities m_i is past the cap <= {_MAX_SCREEN}"
         )
     return E
+
+
+def _screen_size(E: Bundle) -> int:
+    # every sub-multiset of the atoms, the empty and the full one included
+    return prod(m + 1 for m in Counter(E.atoms).values())
 
 
 def _single_int(flag: str, text: str) -> int:
@@ -293,8 +305,14 @@ def cmd_table(ns: argparse.Namespace) -> int:
         raise UsageError(
             f"--a/--b: {cells} cells is past the cap cells <= {_MAX_CELLS}"
         )
-    # only the table's fields of each verdict are kept; dropping the firing
-    # trail at once keeps memory proportional to the cells
+    screen = _screen_size(E)
+    if cells * screen > _MAX_TABLE_SCREEN:
+        raise UsageError(
+            f"--a/--b: {cells} cells times quotient screen size {screen} is "
+            f"{cells * screen}, past the cap <= {_MAX_TABLE_SCREEN}"
+        )
+    # only the table's fields of each verdict are kept, so memory follows
+    # the cells; no verdict's firing trail is ever built
     rows = []
     for a in a_range:
         for b in b_range:

@@ -1,11 +1,17 @@
-"""Evaluation and merge: from the rule catalog to a single Verdict.
+"""Decision and merge: from the rule catalog to a single Verdict.
 
 Every classification follows the same path: build the canonical twist
-frames, evaluate every catalog row in every frame, then merge the firings
+frames, decide every catalog row in every frame, then merge the decisions
 under the lattice  No  >  Yes(iff)  >  Yes(sufficient)  >  Unknown.  A
 simultaneous Yes and No is not a tie to break: it means the catalog is
 transcribed wrong, and it raises ContradictionError instead of returning
 anything.
+
+Deciding builds no record.  R-QUOT-NEC is one decision, No as soon as one
+proper sub-sum Q has a negative witness, so its screen stops there.  The
+firing trail (`_evaluate_catalog`: every row in every frame, one R-QUOT-NEC
+firing per sub-sum) is built from scratch the first time a verdict's
+`firings` is read, and holds exactly the outcomes that were merged.
 
 Frames: twisting E by a degree-l line bundle re-coordinatizes P(E) and
 sends aT + bf to aT + (b - a*l)f.  The canonical frames are the two
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .atiyah import pushforward_mu_minus
 from .bundles import Bundle
@@ -134,25 +140,19 @@ def _curve_comparison(Q: Bundle, D: Divisor) -> Comparison:
     )
 
 
-def _negative_witness(Q: Bundle, D: Divisor) -> Optional[RuleFiring]:
-    """First negative-capable firing rejecting the restriction to P(Q)."""
+def _negative_witness(
+    Q: Bundle, D: Divisor
+) -> Optional[tuple[str, tuple[Comparison, ...]]]:
+    """The name and comparisons of the first negative-capable row that
+    rejects the restriction to P(Q), or None when none does."""
     if Q.rank == 1:
         comp = _curve_comparison(Q, D)
-        if comp.holds:
-            return None
-        return RuleFiring(
-            rule_id="curve threshold",
-            citation="very ampleness on an elliptic curve",
-            strength=Strength.IFF,
-            outcome=Outcome.NO,
-            frame=0,
-            comparisons=(comp,),
-        )
-    # decide each row first; only the witness is worth a record
+        return None if comp.holds else ("curve threshold", (comp,))
     for frame in canonical_frames(Q, D):
         for rule in _SCREEN_RULES:
-            if rule.outcome_in(frame) is Outcome.NO:
-                return rule.evaluate(frame)
+            outcome, _, comps = rule.decide(frame)
+            if outcome is Outcome.NO:
+                return rule.rule_id, comps
     return None
 
 
@@ -173,8 +173,8 @@ def _quotient_firings(rule: Rule, E: Bundle, D: Divisor) -> list[RuleFiring]:
                 ),
             )
         else:
-            note = f"restriction to P({Q}) is rejected by {witness.rule_id}: "
-            comps = witness.comparisons
+            rejecter, comps = witness
+            note = f"restriction to P({Q}) is rejected by {rejecter}: "
         firings.append(
             RuleFiring(
                 rule_id=rule.rule_id,
@@ -189,11 +189,48 @@ def _quotient_firings(rule: Rule, E: Bundle, D: Divisor) -> list[RuleFiring]:
     return firings
 
 
-# -- evaluation and merge ----------------------------------------------------
+# -- decision, trail and merge -----------------------------------------------
+
+class _Decision(NamedTuple):
+    """What one row concluded in one frame: the fields _merge reads of a
+    RuleFiring."""
+
+    rule_id: str
+    strength: Optional[Strength]
+    outcome: Outcome
+
+
+def _decide_catalog(
+    rules: tuple[Rule, ...], E: Bundle, D: Divisor
+) -> list[_Decision]:
+    """Every row decided in every canonical frame, with the outcome and
+    strength _evaluate_catalog records there.  R-QUOT-NEC is one decision:
+    No if some sub-sum's firing would say No, which the screen knows at the
+    first witness."""
+    frames = canonical_frames(E, D)
+    decisions = []
+    for rule in rules:
+        if rule.special == "quotient":
+            if not rule.applies(Frame(0, E, D.a, D.b)):
+                decisions.append(_Decision(rule.rule_id, None, Outcome.INAPPLICABLE))
+                continue
+            rejected = any(
+                _negative_witness(Q, D) is not None for Q in _proper_sub_multisets(E)
+            )
+            outcome = Outcome.NO if rejected else Outcome.PASS
+            decisions.append(_Decision(rule.rule_id, Strength.NECESSARY, outcome))
+            continue
+        for frame in frames:
+            outcome, strength, _ = rule.decide(frame)
+            decisions.append(_Decision(rule.rule_id, strength, outcome))
+    return decisions
+
 
 def _evaluate_catalog(
     rules: tuple[Rule, ...], E: Bundle, D: Divisor
 ) -> tuple[RuleFiring, ...]:
+    """The firing trail: every row evaluated in every canonical frame, one
+    R-QUOT-NEC firing per proper sub-sum, sorted by (rule id, frame)."""
     frames = canonical_frames(E, D)
     firings: list[RuleFiring] = []
     for rule in rules:
@@ -210,26 +247,38 @@ _AFFIRMATIVE_RANK = {Strength.IFF: 0, Strength.SUFFICIENT: 1}
 _NEGATIVE_RANK = {Strength.IFF: 0, Strength.NECESSARY: 1}
 
 
-def _binding(firings: list[RuleFiring], ranking: dict) -> RuleFiring:
-    # strongest first, then lowest rule id, then the frame closest to 0
-    return min(
-        firings,
-        key=lambda f: (ranking[f.strength], f.rule_id, abs(f.frame), f.frame),
-    )
+_Decided = Union[_Decision, RuleFiring]
+
+
+def _binding(decisions: list[_Decided], ranking: dict) -> _Decided:
+    # strongest first, then lowest rule id; the ties share both, which is
+    # all a verdict keeps of its binding decision
+    return min(decisions, key=lambda f: (ranking[f.strength], f.rule_id))
 
 
 def _merge(
     property_name: str,
     E: Bundle,
     D: Divisor,
-    firings: tuple[RuleFiring, ...],
+    decisions: Sequence[_Decided],
     rules: tuple[Rule, ...],
     lo: Optional[tuple[Fraction, bool]],
+    trail: Optional[Callable[[], tuple[RuleFiring, ...]]] = None,
 ) -> Verdict:
+    """Bind the verdict on decisions.  trail builds the firings the verdict
+    shows when they are read; without it, decisions are a recorded trail
+    and are shown themselves."""
+    if trail is None:
+        recorded = tuple(decisions)
+        trail = lambda: recorded  # noqa: E731
     s = pushforward_mu_minus(E, D.a, D.b)
-    yes = [f for f in firings if f.outcome is Outcome.YES]
-    no = [f for f in firings if f.outcome is Outcome.NO]
+    yes = [f for f in decisions if f.outcome is Outcome.YES]
+    no = [f for f in decisions if f.outcome is Outcome.NO]
     if yes and no:
+        # the message quotes the first of each in the trail, with its text
+        firings = trail()
+        yes = [f for f in firings if f.outcome is Outcome.YES]
+        no = [f for f in firings if f.outcome is Outcome.NO]
         raise ContradictionError(
             f"rule table contradiction for {property_name} on P({E}) with "
             f"D = {D}: {yes[0].rule_id} concludes yes ({yes[0].condition}) "
@@ -238,13 +287,13 @@ def _merge(
     if no:
         f = _binding(no, _NEGATIVE_RANK)
         return Verdict(
-            property_name, Status.NO, f.strength, f.rule_id, firings,
+            property_name, Status.NO, f.strength, f.rule_id, trail,
             slope_invariant=s,
         )
     if yes:
         f = _binding(yes, _AFFIRMATIVE_RANK)
         return Verdict(
-            property_name, Status.YES, f.strength, f.rule_id, firings,
+            property_name, Status.YES, f.strength, f.rule_id, trail,
             slope_invariant=s,
         )
     hi = min(
@@ -260,7 +309,7 @@ def _merge(
     )
     reason = (
         "open-range"
-        if any(f.outcome is Outcome.INSUFFICIENT for f in firings)
+        if any(f.outcome is Outcome.INSUFFICIENT for f in decisions)
         else "no-applicable-rule"
     )
     return Verdict(
@@ -268,7 +317,7 @@ def _merge(
         Status.UNKNOWN,
         None,
         None,
-        firings,
+        trail,
         unknown_window=window,
         unknown_reason=reason,
         slope_invariant=s,
@@ -282,18 +331,30 @@ def applicable_rules(E: Bundle, D: Divisor) -> tuple[RuleFiring, ...]:
     return _evaluate_catalog(VERY_AMPLE_RULES, E, D)
 
 
+def _classify(
+    property_name: str,
+    rules: tuple[Rule, ...],
+    E: Bundle,
+    D: Divisor,
+    lo: Optional[tuple[Fraction, bool]],
+) -> Verdict:
+    return _merge(
+        property_name, E, D, _decide_catalog(rules, E, D), rules, lo,
+        trail=lambda: _evaluate_catalog(rules, E, D),
+    )
+
+
 def classify_very_ample(E: Bundle, D: Divisor) -> Verdict:
-    """Three-valued very-ampleness verdict with the full firing trail."""
+    """Three-valued very-ampleness verdict; its full firing trail is built
+    when `firings` is first read."""
     _require_projective_bundle(E)
-    firings = _evaluate_catalog(VERY_AMPLE_RULES, E, D)
-    return _merge("very_ample", E, D, firings, VERY_AMPLE_RULES, lo=(Fraction(0), True))
+    return _classify("very_ample", VERY_AMPLE_RULES, E, D, lo=(Fraction(0), True))
 
 
 def classify_ample(E: Bundle, D: Divisor) -> bool:
     """aT + bf is ample iff a >= 1 and b + a*mu^-(E) > 0 (Miyaoka, R-AMPLE)."""
     _require_projective_bundle(E)
-    firings = _evaluate_catalog(AMPLE_RULES, E, D)
-    return _merge("ample", E, D, firings, AMPLE_RULES, lo=None).is_yes
+    return _classify("ample", AMPLE_RULES, E, D, lo=None).is_yes
 
 
 def classify_globally_generated(E: Bundle, D: Divisor) -> Verdict:
@@ -306,8 +367,7 @@ def classify_globally_generated(E: Bundle, D: Divisor) -> Verdict:
     _require_projective_bundle(E)
     if D.a < 1:
         raise DomainError(f"global generation is classified for a >= 1, got a={D.a}")
-    firings = _evaluate_catalog(GLOBALLY_GENERATED_RULES, E, D)
-    return _merge("globally_generated", E, D, firings, GLOBALLY_GENERATED_RULES, lo=None)
+    return _classify("globally_generated", GLOBALLY_GENERATED_RULES, E, D, lo=None)
 
 
 def classify_normally_generated(E: Bundle, D: Divisor) -> Verdict:
@@ -316,5 +376,4 @@ def classify_normally_generated(E: Bundle, D: Divisor) -> Verdict:
     _require_projective_bundle(E)
     if D.a < 1:
         raise DomainError(f"normal generation is classified for a >= 1, got a={D.a}")
-    firings = _evaluate_catalog(NORMALLY_GENERATED_RULES, E, D)
-    return _merge("normally_generated", E, D, firings, NORMALLY_GENERATED_RULES, lo=None)
+    return _classify("normally_generated", NORMALLY_GENERATED_RULES, E, D, lo=None)

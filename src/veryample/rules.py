@@ -2,8 +2,8 @@
 
 Each Rule is a datum, not code to read around: an id, a citation, a guard,
 and the exact inequalities with their exact strictness.  The engine
-(engine.py) evaluates every rule in every canonical frame and merges the
-firings; nothing in this file decides a verdict by itself.
+(engine.py) decides every rule in every canonical frame and merges the
+decisions; nothing in this file decides a verdict by itself.
 
 Conventions shared by all rows.  Quantities are frame-local: inside a frame
 l the bundle is E(l) and b means b - a*l.  mu^- is the minimal summand
@@ -24,10 +24,11 @@ Unknown window, which comes from each applicable sufficient row whose
 only comparison is on s: `s > t` leaves (.., t] open and `s >= t` leaves
 (.., t) open (`Rule.window_bound`).
 
-Decision and record are separate: `Rule.outcome_in` decides a row in a
-frame (guard, strength there, comparisons) without building anything, and
+Decision and record are separate: `Rule.decide` decides a row in a frame
+(guard, strength there, comparisons) without building anything, and
 `Rule.evaluate` makes the same decision and keeps it as a RuleFiring that
 holds the comparisons; their text is rendered only when the trail is read.
+The engine merges on decisions and calls `evaluate` only to build a trail.
 """
 
 from __future__ import annotations
@@ -142,11 +143,12 @@ class Rule:
             return Strength.SUFFICIENT
         return self.strength
 
-    def _decide(
+    def decide(
         self, frame: Frame
     ) -> tuple[Outcome, Optional[Strength], tuple[Comparison, ...]]:
-        # guard, then strength in this frame, then the comparisons; nothing
-        # is rendered, so a caller that only needs the outcome pays for none
+        """(outcome, strength, comparisons) of the row in frame: the guard,
+        then the strength there, then the comparisons.  Nothing is built
+        or rendered; strength is None when the guard fails."""
         if not self.applies(frame):
             return Outcome.INAPPLICABLE, None, ()
         strength = self.strength_in(frame)
@@ -156,10 +158,10 @@ class Rule:
     def outcome_in(self, frame: Frame) -> Outcome:
         """What the row concludes in frame: the outcome evaluate would
         record, without building the record."""
-        return self._decide(frame)[0]
+        return self.decide(frame)[0]
 
     def evaluate(self, frame: Frame) -> RuleFiring:
-        outcome, strength, comps = self._decide(frame)
+        outcome, strength, comps = self.decide(frame)
         return RuleFiring(
             rule_id=self.rule_id,
             citation=self.citation,
@@ -178,7 +180,7 @@ class Rule:
         """Upper end of the range of s this row leaves open in frame, as
         (value, inclusive), when the row applies, is sufficient there and
         compares nothing but s."""
-        _, strength, comps = self._decide(frame)
+        _, strength, comps = self.decide(frame)
         if strength is not Strength.SUFFICIENT:
             return None
         if len(comps) != 1 or comps[0].label != _S_LABEL:

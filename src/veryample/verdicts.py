@@ -5,6 +5,11 @@ the three-valued status, the strength of the justification, the binding rule,
 and the full list of RuleFiring records (one per rule per frame, including
 rules that did not apply).  Unknown verdicts carry the exact open interval of
 the slope invariant b + a*mu^-(E) in which the question is unsettled.
+
+The engine decides a verdict without building its records: a Verdict holds
+a `trail` callable, and the firings are built by it the first time
+`firings` is read, then kept.  Equality, hashing and repr of a Verdict
+leave the trail out.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 __all__ = [
     "Status",
@@ -186,16 +192,24 @@ _STATUS_WORDS = {
 
 @dataclass(frozen=True)
 class Verdict:
-    """A classification with its full justification trail."""
+    """A classification with its full justification trail.
+
+    trail builds the firings; it runs on the first read of `firings`.
+    """
 
     property_name: str
     outcome: Status
     strength: Optional[Strength]
     binding_rule: Optional[str]
-    firings: tuple[RuleFiring, ...]
+    trail: Callable[[], tuple[RuleFiring, ...]] = field(repr=False, compare=False)
     unknown_window: Optional[Window] = None
     unknown_reason: Optional[str] = None
     slope_invariant: Optional[Fraction] = field(default=None)
+
+    @cached_property
+    def firings(self) -> tuple[RuleFiring, ...]:
+        """Every rule in every frame, ordered by (rule id, frame)."""
+        return self.trail()
 
     @property
     def status(self) -> str:

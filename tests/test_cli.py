@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veryample import Divisor, classify_very_ample, parse_bundle
 from veryample.cli import main
+
+from conftest import bundles
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -186,6 +192,39 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "past the cap" in err
 
+    @staticmethod
+    def _lines(*counts: int) -> str:
+        # counts[d] copies of the degree-d line bundle
+        return ",".join(f"1:{d}" for d, m in enumerate(counts) for _ in range(m))
+
+    def test_screen_size_cap(self, capsys):
+        # repeated atoms multiply the sub-sums to screen, prod(m_i + 1) - 2:
+        # 16 copies of 4 lines are rank 64 and 83,519 sub-sums
+        at_cap = self._lines(15, 15, 15)  # 16^3 = 4096
+        assert run(capsys, "classify", "--bundle", at_cap, "--a", "0", "--b", "3")[0] == 0
+        for past in (self._lines(15, 15, 16), self._lines(16, 16, 16, 16)):
+            code, out, err = run(capsys, "classify", "--bundle", past, "--a", "2",
+                                 "--b", "3")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+            assert "past the cap" in err
+
+    def test_table_screen_work_cap(self, capsys):
+        # cells times prod(m_i + 1) <= 2^20: 256 cells of 12 distinct lines,
+        # checked before any cell is classified; a = 0 keeps the screen idle
+        twelve = self._lines(*[1] * 12)
+        code, out, _ = run(capsys, "table", "--bundle", twelve, "--a", "0",
+                           "--b", "1..256", "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 257
+        code, out, err = run(capsys, "table", "--bundle", twelve, "--a", "1..16",
+                             "--b", "1..17")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "past the cap" in err
+
     def test_argparse_failures_map_to_2(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
         assert run(capsys, "classify", "--bundle", "2:1", "--a", "1")[0] == 2
@@ -194,6 +233,44 @@ class TestExitCodes:
 
     def test_help_is_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+# junk is a small share of each draw, so many argv reach the engine
+_JUNK = st.text(alphabet="1-:,.x ;", max_size=5)
+_INTS = st.integers(-6, 6).map(str)
+_RANGES = st.builds(lambda lo, n: f"{lo}..{lo + n}", st.integers(-6, 6), st.integers(-1, 3))
+_VALUES = st.one_of(_INTS, _INTS, _INTS, _RANGES, _JUNK)
+_BUNDLES = bundles(min_rank=1, max_rank=5, max_abs_degree=4).map(str)
+
+
+class TestGrammarFuzz:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        command=st.sampled_from(("classify", "invariants", "table", "table", "rules", "tabel")),
+        bundle=st.one_of(_BUNDLES, _BUNDLES, _BUNDLES, _JUNK),
+        a=_VALUES,
+        b=_VALUES,
+        fmt=st.sampled_from((None,) * 3 + ("text", "json", "csv", "yaml")),
+        drop=st.sampled_from((None,) * 12 + ("--bundle", "--a", "--b")),
+        extra=st.sampled_from(((),) * 12 + (("--a",), ("--zzz",), ("-",), ("--b", "1"))),
+    )
+    def test_main_exits_0_2_or_3(self, command, bundle, a, b, fmt, drop, extra):
+        argv = [command]
+        for flag, value in (("--bundle", bundle), ("--a", a), ("--b", b)):
+            if flag != drop and command != "rules":
+                argv += [flag, value]
+        if fmt is not None:
+            argv += ["--format", fmt]
+        argv += extra
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().startswith(("error:", "usage:")), argv
+        else:
+            assert out.getvalue() and not err.getvalue(), argv
 
 
 class TestTable:

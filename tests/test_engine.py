@@ -28,8 +28,15 @@ from veryample import (
     pushforward_mu_minus,
     rank3_exception,
 )
-from veryample.engine import _merge
-from veryample.rules import VERY_AMPLE_RULES
+from veryample import engine
+from veryample.engine import _classify, _evaluate_catalog, _merge
+from veryample.rules import (
+    AMPLE_RULES,
+    GLOBALLY_GENERATED_RULES,
+    NORMALLY_GENERATED_RULES,
+    VERY_AMPLE_RULES,
+    Rule,
+)
 from veryample.verdicts import RuleFiring
 
 from conftest import bundles, small_bundles
@@ -201,6 +208,114 @@ class TestFiringTrail:
                             )
 
 
+# five to seven line summands, repeated atoms included, so R-QUOT-NEC
+# screens sub-sums of rank 1..6 with witnesses of every kind
+WIDE_SUMS = [
+    parse_bundle(text) for text in (
+        "1:-2,1:-1,1:0,1:1,1:2",
+        "1:-1,1:0,1:1,2:1,2:3",
+        "1:0,1:0,1:1,1:2,1:2",
+        "1:-3,1:-1,1:0,1:2,1:4,1:6",
+        "1:-1,1:-1,1:-1,1:0,1:3,1:3",
+        "1:-3,1:-2,1:-1,1:0,1:1,1:2,1:3",
+    )
+]
+
+# (property, rows, lower end of an Unknown window, least a it is defined for)
+PROPERTIES = (
+    ("very_ample", VERY_AMPLE_RULES, (Fraction(0), True), 0),
+    ("ample", AMPLE_RULES, None, 0),
+    ("globally_generated", GLOBALLY_GENERATED_RULES, None, 1),
+    ("normally_generated", NORMALLY_GENERATED_RULES, None, 1),
+)
+
+
+def _summary(v):
+    return (v.property_name, v.outcome, v.strength, v.binding_rule,
+            v.unknown_window, v.unknown_reason, v.slope_invariant)
+
+
+class TestDecidedMerge:
+    """Verdicts merged on decisions against _merge over the full trail,
+    which binds on the firings themselves."""
+
+    @pytest.mark.parametrize("name, rules, lo, min_a", PROPERTIES,
+                             ids=[p[0] for p in PROPERTIES])
+    def test_decisions_bind_as_the_trail_does(self, name, rules, lo, min_a):
+        cells = 0
+        for E in small_bundles(4, 2) + WIDE_SUMS:
+            for a in range(max(min_a, 0), 5):
+                for b in range(-5, 6):
+                    D = Divisor(a, b)
+                    decided = _classify(name, rules, E, D, lo)
+                    recorded = _merge(name, E, D, _evaluate_catalog(rules, E, D), rules, lo)
+                    assert _summary(decided) == _summary(recorded), (str(E), a, b)
+                    cells += 1
+        assert cells == (281 * 5 if min_a == 0 else 281 * 4) * 11
+
+    def test_public_functions_decide(self):
+        E, D = parse_bundle("1:-1,1:0,1:1,2:1,2:3"), Divisor(2, 1)
+        assert classify_very_ample(E, D) == _classify(
+            "very_ample", VERY_AMPLE_RULES, E, D, (Fraction(0), True))
+        assert classify_globally_generated(E, D) == _classify(
+            "globally_generated", GLOBALLY_GENERATED_RULES, E, D, None)
+        assert classify_normally_generated(E, D) == _classify(
+            "normally_generated", NORMALLY_GENERATED_RULES, E, D, None)
+        assert classify_ample(E, D) is _classify("ample", AMPLE_RULES, E, D, None).is_yes
+
+
+class TestLazyTrail:
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_classify_builds_no_record_until_firings_is_read(self, monkeypatch):
+        evaluated = self._count(monkeypatch, Rule, "evaluate")
+        screened = self._count(monkeypatch, engine, "_quotient_firings")
+        # 2:0,2:1 at a = 2, b = 2: the rank-2 sub-sum 2:0 is the witness
+        E = parse_bundle("2:0,2:1")
+        verdicts = [
+            classify_very_ample(E, Divisor(2, 2)),
+            classify_very_ample(parse_bundle("1:2,2:3"), Divisor(2, -1)),
+            classify_globally_generated(E, Divisor(2, 0)),
+            classify_normally_generated(E, Divisor(2, 5)),
+        ]
+        assert classify_ample(E, Divisor(2, 2))
+        assert verdicts[0].is_no and verdicts[0].binding_rule == "R-QUOT-NEC"
+        assert (evaluated, screened) == ([], [])
+        trail = verdicts[0].firings
+        assert len(screened) == 1 and evaluated
+        before = len(evaluated)
+        assert verdicts[0].firings is trail
+        assert len(evaluated) == before and len(screened) == 1
+        assert trail == _evaluate_catalog(VERY_AMPLE_RULES, E, Divisor(2, 2))
+
+    def test_verdict_equality_and_repr_leave_the_trail_out(self):
+        E, D = parse_bundle("1:2,2:3"), Divisor(2, -2)
+        v, w = classify_very_ample(E, D), classify_very_ample(E, D)
+        assert v == w and hash(v) == hash(w)
+        assert "trail" not in repr(v) and "firings" not in repr(v)
+        v.firings
+        assert v == w and repr(v) == repr(w)
+
+    def test_quotient_screen_stops_at_the_first_witness(self, monkeypatch):
+        # 12 distinct lines: 4094 proper sub-sums, and the first, 1:0, has
+        # b + a*deg = 2 < 3
+        witnesses = self._count(monkeypatch, engine, "_negative_witness")
+        E = parse_bundle(",".join(f"1:{d}" for d in range(12)))
+        v = classify_very_ample(E, Divisor(2, 2))
+        assert v.is_no and v.binding_rule == "R-QUOT-NEC"
+        assert len(witnesses) == 1
+
+
 class TestMergeContract:
     @staticmethod
     def _firing(rule_id, strength, outcome):
@@ -217,6 +332,21 @@ class TestMergeContract:
         with pytest.raises(ContradictionError):
             _merge("very_ample", parse_bundle("2:1"), Divisor(2, 1),
                    firings, [], lo=(Fraction(0), True))
+
+    def test_contradiction_on_decisions_quotes_the_trail(self):
+        firings = (
+            self._firing("R-SYNTH-A", Strength.SUFFICIENT, Outcome.YES),
+            self._firing("R-SYNTH-B", Strength.NECESSARY, Outcome.NO),
+        )
+        decisions = [engine._Decision(f.rule_id, f.strength, f.outcome) for f in firings]
+        E, D = parse_bundle("2:1"), Divisor(2, 1)
+        with pytest.raises(ContradictionError) as decided:
+            _merge("very_ample", E, D, decisions, [], lo=(Fraction(0), True),
+                   trail=lambda: firings)
+        with pytest.raises(ContradictionError) as recorded:
+            _merge("very_ample", E, D, firings, [], lo=(Fraction(0), True))
+        assert str(decided.value) == str(recorded.value)
+        assert "R-SYNTH-A concludes yes (synthetic)" in str(decided.value)
 
     def test_iff_outranks_sufficient_for_binding(self):
         firings = (
