@@ -7,17 +7,21 @@
 
 Bundles use the r:d,r:d,... grammar; table accepts lo..hi ranges (inclusive)
 for --a and --b.  Exit codes: 0 success, 2 parse or usage errors, 3 domain
-errors (e.g. classification on a rank-1 bundle).  Rationals render as p/q in
-text and csv, and as {"num": p, "den": q} in json.
+errors (e.g. classification on a rank-1 bundle), 4 when stdout is closed or
+full.  A closed pipe (`| head`) exits 4 quietly; any other write error
+prints one `error:` line first.  Rationals render as p/q in text and csv,
+and as {"num": p, "den": q} in json.
 
 Input caps, checked before any computation: |a|, |b| (both ends of a range)
 and every atom's |degree| are at most 10^6, and the bundle's total rank is
-at most 64.  The quotient screen of R-QUOT-NEC looks at every proper
-sub-sum of the atoms, of which there are prod(m_i + 1) - 2 when the
-distinct atoms occur m_1, m_2, ... times; that product is at most 2^12
-(12 distinct atoms, say).  A table has at most 10^5 cells, and its cells
-times that product are at most 2^20.  A value past a cap exits 2.  Under
-the caps every integer the CLI prints stays within a few hundred digits.
+at most 64.  The screen size prod(m_i + 1), over the multiplicities m_1,
+m_2, ... of the distinct atoms, is at most 2^12 (12 distinct atoms, say).
+A table has at most 10^5 cells, and its cells times that size are at most
+2^20.  A value past a cap exits 2.  Under the caps every integer the CLI
+prints stays within a few hundred digits.  The two screen caps date from
+when the quotient screen of R-QUOT-NEC visited all prod(m_i + 1) - 2
+proper sub-sums; it now visits at most 2n + 3 of them for n distinct atoms
+(engine.py), so they no longer bound its cost.
 
 argparse quirk: a bare value like -2..3 looks like an option, so argv is
 pre-folded into --flag=value form before parsing.
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from collections import Counter
@@ -51,7 +56,7 @@ __all__ = ["main"]
 
 _MAX_ABS_INT = 10**6  # |a|, |b| and every atom's |degree|
 _MAX_RANK = 64  # total rank of the bundle
-_MAX_SCREEN = 2**12  # prod(m_i + 1): the quotient screen's sub-sums, plus 2
+_MAX_SCREEN = 2**12  # prod(m_i + 1): the sub-multisets of the atoms
 _MAX_CELLS = 10**5  # cells of one table
 _MAX_TABLE_SCREEN = 2**20  # a table's cells times its bundle's screen size
 _FOLD_FLAGS = ("--a", "--b", "--bundle")
@@ -420,11 +425,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = _fold_flag_values(list(sys.argv[1:] if argv is None else argv))
+def _discard_stdout() -> None:
+    # what is still buffered would fail again when the interpreter flushes
+    # stdout at exit, so point the descriptor at the null device
     try:
-        ns = parser.parse_args(args)
+        fd = sys.stdout.fileno()
+    except ValueError:  # an in-memory stream has no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _run(args: list[str]) -> int:
+    try:
+        ns = _build_parser().parse_args(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -438,6 +453,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _fold_flag_values(list(sys.argv[1:] if argv is None else argv))
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:  # BrokenPipeError included: stdout closed or full
+        _discard_stdout()
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the output: {exc.strerror or exc}",
+                  file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -8,10 +8,44 @@ transcribed wrong, and it raises ContradictionError instead of returning
 anything.
 
 Deciding builds no record.  R-QUOT-NEC is one decision, No as soon as one
-proper sub-sum Q has a negative witness, so its screen stops there.  The
+screened sub-sum Q has a negative witness, so its screen stops there.  The
 firing trail (`_evaluate_catalog`: every row in every frame, one R-QUOT-NEC
-firing per sub-sum) is built from scratch the first time a verdict's
-`firings` is read, and holds exactly the outcomes that were merged.
+firing per screened sub-sum) is built from scratch the first time a
+verdict's `firings` is read, and holds exactly the outcomes that were
+merged.
+
+The quotient screen.  R-QUOT-NEC restricts D to the quotient scrolls P(Q),
+Q a proper sub-sum of E's atoms, and says No when a row that can say No
+(`_SCREEN_RULES`; on a line Q the curve threshold b + a*deg(Q) >= 3)
+rejects one of them.  It runs only at a >= 1.  The decision and the trail
+both read one set of sub-sums, `_proper_sub_multisets`: the lowest-degree
+line, every distinct non-line atom, the two lowest lines, the three lowest
+lines, and the lowest line plus each distinct rank-2 atom, each dropped
+where it is E itself.  Repeated atoms count as separate lines.  That is
+O(atoms) sub-sums instead of all prod(m_i + 1) - 2, and no sub-sum left
+out can carry a witness that a kept one does not:
+
+* A multi-atom Q of rank >= 4.  The only screen rows that can say No on it
+  are R-FIBER, R-MIYAOKA and R-A1-DEC: R-R4D3 is sufficient on a
+  decomposable frame, and every other row that is not sufficient needs
+  rank <= 3 or an indecomposable bundle.  R-FIBER never fails at a >= 1.
+  A Miyaoka failure, b + a*mu^-(Q) <= 0, fails on Q's minimal-slope atom
+  as well: by R-MIYAOKA on a non-line atom, by the curve threshold on a
+  line (and then on the lowest line).  An R-A1-DEC failure names one atom
+  A with b + mu(A) below its need, and A fails R-A1-INDEC or, as a line,
+  the curve threshold on its own.
+* A line, or a sum of two or three lines.  Every row that applies reads
+  the lines' degrees only through the lowest one and gets no easier as it
+  drops, so the lowest line, pair and triple reject whenever any other
+  does.
+* A line L plus a rank-2 atom G.  Lowering deg L only makes the rows
+  harder to pass, and it can take Q out of `rank3_exception`, where
+  R-RK3-DEC is only sufficient; so L + G rejects at the lowest L first.
+
+Every other proper sub-sum is a single atom or has rank >= 4.  The tests
+check the assumptions of each case against the catalog, and the decision
+against the full enumeration, so a catalog edit that breaks the pruning
+fails them.
 
 Frames: twisting E by a degree-l line bundle re-coordinatizes P(E) and
 sends aT + bf to aT + (b - a*l)f.  The canonical frames are the two
@@ -23,11 +57,9 @@ fired in.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .atiyah import pushforward_mu_minus
@@ -112,24 +144,16 @@ _SCREEN_RULES = tuple(
 
 @lru_cache(maxsize=2048)
 def _proper_sub_multisets(E: Bundle) -> tuple[Bundle, ...]:
-    """Every non-empty proper sub-multiset of the atoms, deduplicated and in
-    a deterministic order.  Sub-multisets of sub-multisets appear themselves,
-    so one flat pass already carries the recursive closure."""
-    counts = Counter(E.atoms)
-    distinct = sorted(counts)
-    full = tuple(counts[atom] for atom in distinct)
-    subs = []
-    for combo in product(*(range(n + 1) for n in full)):
-        if not any(combo) or combo == full:
-            continue
-        atoms = tuple(
-            chain.from_iterable(
-                (atom,) * k for atom, k in zip(distinct, combo)
-            )
-        )
-        subs.append(Bundle(atoms))
-    subs.sort(key=lambda Q: (Q.rank, Q.atoms))
-    return tuple(subs)
+    """The proper sub-sums the quotient screen visits, in (rank, atoms)
+    order: the ones that can carry a negative witness (module docstring)."""
+    lines = [atom for atom in E.atoms if atom.rank == 1]  # lowest degree first
+    others = set(E.atoms) - set(lines)
+    subs = {Bundle(lines[:k]) for k in (1, 2, 3) if k <= len(lines)}
+    subs.update(Bundle((atom,)) for atom in others)
+    if lines:
+        subs.update(Bundle((lines[0], G)) for G in others if G.rank == 2)
+    subs.discard(E)
+    return tuple(sorted(subs, key=lambda Q: (Q.rank, Q.atoms)))
 
 
 def _curve_comparison(Q: Bundle, D: Divisor) -> Comparison:

@@ -556,7 +556,9 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         scope="a >= 1, decomposable",
         statement=(
             "every proper summand sub-sum Q: the restriction to P(Q) admits "
-            "no negative rule (rank-1 Q: b + a*deg(Q) >= 3)"
+            "no negative rule (rank-1 Q: b + a*deg(Q) >= 3); screened on the "
+            "Q that can fail first: the lowest line, each non-line atom, the "
+            "two and three lowest lines, the lowest line plus each rank-2 atom"
         ),
         applies=lambda fr: fr.a >= 1 and not fr.indec,
         strength=Strength.NECESSARY,

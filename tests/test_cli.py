@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -395,3 +396,29 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "VeryAmple" in proc.stdout
+
+
+class TestClosedOutput:
+    # a 3,240-row table is far more than a pipe buffer holds
+    TABLE = [sys.executable, "-m", "veryample.cli", "table", "--bundle", "2:1",
+             "--a", "1..40", "--b", "-40..40"]
+
+    def test_closed_pipe_exits_4_quietly(self):
+        proc = subprocess.Popen(self.TABLE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"bundle: 2:1")
+        proc.stdout.close()  # as `| head -1` does
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 4
+        assert err == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_4_with_one_error_line(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(self.TABLE, stdout=full, stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write the output")
+        assert proc.stderr.count("\n") == 1

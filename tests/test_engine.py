@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,7 @@ from veryample.rules import (
     GLOBALLY_GENERATED_RULES,
     NORMALLY_GENERATED_RULES,
     VERY_AMPLE_RULES,
+    Frame,
     Rule,
 )
 from veryample.verdicts import RuleFiring
@@ -170,7 +173,7 @@ class TestFiringTrail:
 
     # sha256 of the trail of the sweep below, byte for byte: every field
     # to_json_dict emits for every firing, the derived ones included
-    TRAIL_DIGEST = "e15c67457641327709866e4c43ce07235cde4c5492abf4cab4d7c47f232506b6"
+    TRAIL_DIGEST = "d0e4023592cb0e1804b1ebddf1077b0d3dc8ba366a41edd89df4a3aa23a3915e"
 
     def test_full_trail_is_pinned(self):
         # decomposable bundles, so R-QUOT-NEC screens sub-sums of rank 1..6
@@ -193,7 +196,7 @@ class TestFiringTrail:
                         fields = json.dumps(f.to_json_dict(), sort_keys=True)
                         digest.update(f"{E}|{a}|{b}|{fields}\n".encode())
                         count += 1
-        assert count == 96_600
+        assert count == 87_640
         assert digest.hexdigest() == self.TRAIL_DIGEST
 
     def test_outcome_in_matches_evaluate(self):
@@ -307,13 +310,130 @@ class TestLazyTrail:
         assert v == w and repr(v) == repr(w)
 
     def test_quotient_screen_stops_at_the_first_witness(self, monkeypatch):
-        # 12 distinct lines: 4094 proper sub-sums, and the first, 1:0, has
-        # b + a*deg = 2 < 3
+        # 12 distinct lines: the first screened sub-sum, the lowest line
+        # 1:0, has b + a*deg = 2 < 3
         witnesses = self._count(monkeypatch, engine, "_negative_witness")
         E = parse_bundle(",".join(f"1:{d}" for d in range(12)))
         v = classify_very_ample(E, Divisor(2, 2))
         assert v.is_no and v.binding_rule == "R-QUOT-NEC"
         assert len(witnesses) == 1
+
+
+def _every_proper_sub_sum(E):
+    """Every non-empty proper sub-multiset of the atoms: the quotient screen
+    before it was pruned, kept here as its oracle."""
+    counts = Counter(E.atoms)
+    distinct = sorted(counts)
+    full = tuple(counts[atom] for atom in distinct)
+    for combo in itertools.product(*(range(n + 1) for n in full)):
+        if any(combo) and combo != full:
+            yield Bundle(itertools.chain.from_iterable(
+                (atom,) * k for atom, k in zip(distinct, combo)))
+
+
+def _lines(degrees, *rest):
+    return Bundle([(1, d) for d in degrees] + list(rest))
+
+
+# lines of degree -2..2, and an atom of rank 2 for the line + rank-2 shape
+_LINE_SUMS = [
+    _lines(degs)
+    for n in (5, 6, 7)
+    for degs in itertools.combinations_with_replacement(range(-2, 3), n)
+]
+_LINES_PLUS_RANK2 = [
+    _lines(degs, (2, g))
+    for n in (3, 4, 5)
+    for degs in itertools.combinations_with_replacement(range(-2, 3), n)
+    for g in range(-3, 4)
+]
+_QUOT = next(rule for rule in VERY_AMPLE_RULES if rule.rule_id == "R-QUOT-NEC")
+_PRUNING_ROWS = {"R-FIBER", "R-MIYAOKA", "R-A1-DEC"}
+
+
+class TestQuotientScreen:
+    """The screen visits O(atoms) sub-sums; these gates check the proof in
+    engine.py that no other sub-sum can carry a negative witness."""
+
+    def test_decision_matches_the_full_enumeration(self):
+        sweep = small_bundles(4, 2) + WIDE_SUMS + _LINE_SUMS + _LINES_PLUS_RANK2
+        rejects = {}  # (Q, a, b) -> does Q carry a witness; sub-sums repeat
+
+        def oracle(E, subs, D):
+            if not _QUOT.applies(Frame(0, E, D.a, D.b)):
+                return Outcome.INAPPLICABLE
+            for Q in subs:
+                key = (Q, D.a, D.b)
+                if key not in rejects:
+                    rejects[key] = engine._negative_witness(Q, D) is not None
+                if rejects[key]:
+                    return Outcome.NO
+            return Outcome.PASS
+
+        cells = 0
+        for E in sweep:
+            subs = list(_every_proper_sub_sum(E))
+            for a in range(0, 6):
+                for b in range(-9, 9):
+                    D = Divisor(a, b)
+                    decided, = engine._decide_catalog((_QUOT,), E, D)
+                    assert decided.outcome is oracle(E, subs, D), (str(E), a, b)
+                    cells += 1
+        assert cells == (281 + 666 + 231 * 7) * 108
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(bundles(min_rank=4, max_rank=8), st.integers(0, 6), st.integers(-8, 8))
+    def test_rank_4_sums_are_rejected_only_where_an_atom_is(self, Q, a, b):
+        if Q.is_indecomposable:
+            return
+        D = Divisor(a, b)
+        saying_no = {
+            rule.rule_id
+            for frame in canonical_frames(Q, D)
+            for rule in engine._SCREEN_RULES
+            if rule.outcome_in(frame) is Outcome.NO
+        }
+        assert saying_no <= _PRUNING_ROWS, (str(Q), a, b)
+        if saying_no and a >= 1:
+            assert any(
+                engine._negative_witness(Bundle((atom,)), D) is not None
+                for atom in Q.atoms
+            ), (str(Q), a, b)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.sampled_from(((1, 1), (1, 1, 1), (1, 2))),
+        st.lists(st.integers(-8, 8), min_size=3, max_size=3),
+        st.integers(0, 2),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.integers(-8, 8),
+    )
+    def test_lowering_a_line_never_lifts_a_no(self, ranks, degrees, which, drop, a, b):
+        # the two-line, three-line and line + rank-2 shapes
+        atoms = list(zip(ranks, degrees))
+        which = which % ranks.count(1)
+        lowered = list(atoms)
+        lowered[which] = (1, atoms[which][1] - drop)
+        D = Divisor(a, b)
+        if engine._negative_witness(Bundle(atoms), D) is not None:
+            assert engine._negative_witness(Bundle(lowered), D) is not None, (
+                atoms, which, drop, a, b)
+
+    def test_screened_sub_sums(self):
+        def screened(text):
+            return [str(Q) for Q in engine._proper_sub_multisets(parse_bundle(text))]
+
+        assert screened("1:2,2:3") == ["1:2", "2:3"]
+        assert screened("1:0,1:0,1:1,1:1") == ["1:0", "1:0,1:0", "1:0,1:0,1:1"]
+        assert screened("1:0,1:1") == ["1:0"]
+        assert screened("1:0,1:1,1:2") == ["1:0", "1:0,1:1"]
+        assert screened("1:3,2:1,2:1,3:0") == [
+            "1:3", "2:1", "1:3,2:1", "3:0"]
+        assert screened("2:1,2:3") == ["2:1", "2:3"]
+        assert screened("2:1") == []
+        E = parse_bundle(",".join(f"1:{d}" for d in range(12)) + ",2:1,3:1")
+        assert len(engine._proper_sub_multisets(E)) == 6
 
 
 class TestMergeContract:
