@@ -14,14 +14,11 @@ and as {"num": p, "den": q} in json.
 
 Input caps, checked before any computation: |a|, |b| (both ends of a range)
 and every atom's |degree| are at most 10^6, and the bundle's total rank is
-at most 64.  The screen size prod(m_i + 1), over the multiplicities m_1,
-m_2, ... of the distinct atoms, is at most 2^12 (12 distinct atoms, say).
-A table has at most 10^5 cells, and its cells times that size are at most
-2^20.  A value past a cap exits 2.  Under the caps every integer the CLI
-prints stays within a few hundred digits.  The two screen caps date from
-when the quotient screen of R-QUOT-NEC visited all prod(m_i + 1) - 2
-proper sub-sums; it now visits at most 2n + 3 of them for n distinct atoms
-(engine.py), so they no longer bound its cost.
+at most 64.  A table has at most 10^5 cells, and its cells times the
+bundle's distinct atoms are at most 2^18: a cell's quotient screen visits
+at most one sub-sum per distinct atom (engine.py), so that product bounds
+a table's screening work.  A value past a cap exits 2.  Under the caps
+every integer the CLI prints stays within a few hundred digits.
 
 argparse quirk: a bare value like -2..3 looks like an option, so argv is
 pre-folded into --flag=value form before parsing.
@@ -31,12 +28,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import re
 import sys
-from collections import Counter
-from math import prod
+from contextlib import redirect_stdout
 from typing import Optional, Sequence
 
 from .bundles import Bundle, BundleParseError, parse_bundle
@@ -56,9 +53,8 @@ __all__ = ["main"]
 
 _MAX_ABS_INT = 10**6  # |a|, |b| and every atom's |degree|
 _MAX_RANK = 64  # total rank of the bundle
-_MAX_SCREEN = 2**12  # prod(m_i + 1): the sub-multisets of the atoms
 _MAX_CELLS = 10**5  # cells of one table
-_MAX_TABLE_SCREEN = 2**20  # a table's cells times its bundle's screen size
+_MAX_TABLE_SCREEN = 2**18  # a table's cells times its bundle's distinct atoms
 _FOLD_FLAGS = ("--a", "--b", "--bundle")
 _INT_RE = re.compile(r"^-?\d+$")
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -114,18 +110,7 @@ def _capped_bundle(text: str) -> Bundle:
                 f"--bundle: atom degree {_shown(atom.degree)} is past the cap "
                 f"|degree| <= {_MAX_ABS_INT}"
             )
-    screen = _screen_size(E)
-    if screen > _MAX_SCREEN:
-        raise UsageError(
-            f"--bundle: quotient screen size prod(m_i + 1) = {screen} over the "
-            f"atom multiplicities m_i is past the cap <= {_MAX_SCREEN}"
-        )
     return E
-
-
-def _screen_size(E: Bundle) -> int:
-    # every sub-multiset of the atoms, the empty and the full one included
-    return prod(m + 1 for m in Counter(E.atoms).values())
 
 
 def _single_int(flag: str, text: str) -> int:
@@ -310,11 +295,11 @@ def cmd_table(ns: argparse.Namespace) -> int:
         raise UsageError(
             f"--a/--b: {cells} cells is past the cap cells <= {_MAX_CELLS}"
         )
-    screen = _screen_size(E)
-    if cells * screen > _MAX_TABLE_SCREEN:
+    distinct = len(set(E.atoms))
+    if cells * distinct > _MAX_TABLE_SCREEN:
         raise UsageError(
-            f"--a/--b: {cells} cells times quotient screen size {screen} is "
-            f"{cells * screen}, past the cap <= {_MAX_TABLE_SCREEN}"
+            f"--a/--b: {cells} cells times {distinct} distinct atoms is "
+            f"{cells * distinct}, past the cap <= {_MAX_TABLE_SCREEN}"
         )
     # only the table's fields of each verdict are kept, so memory follows
     # the cells; no verdict's firing trail is ever built
@@ -438,9 +423,14 @@ def _discard_stdout() -> None:
 
 
 def _run(args: list[str]) -> int:
+    # argparse drops the errors of its own writes, so its help text is
+    # written here, where main's flush sees them
+    shown = io.StringIO()
     try:
-        ns = _build_parser().parse_args(args)
+        with redirect_stdout(shown):
+            ns = _build_parser().parse_args(args)
     except SystemExit as exc:
+        sys.stdout.write(shown.getvalue())
         return 0 if exc.code in (0, None) else 2
     try:
         return ns.handler(ns)

@@ -19,33 +19,21 @@ Q a proper sub-sum of E's atoms, and says No when a row that can say No
 (`_SCREEN_RULES`; on a line Q the curve threshold b + a*deg(Q) >= 3)
 rejects one of them.  It runs only at a >= 1.  The decision and the trail
 both read one set of sub-sums, `_proper_sub_multisets`: the lowest-degree
-line, every distinct non-line atom, the two lowest lines, the three lowest
-lines, and the lowest line plus each distinct rank-2 atom, each dropped
-where it is E itself.  Repeated atoms count as separate lines.  That is
-O(atoms) sub-sums instead of all prod(m_i + 1) - 2, and no sub-sum left
-out can carry a witness that a kept one does not:
-
-* A multi-atom Q of rank >= 4.  The only screen rows that can say No on it
-  are R-FIBER, R-MIYAOKA and R-A1-DEC: R-R4D3 is sufficient on a
-  decomposable frame, and every other row that is not sufficient needs
-  rank <= 3 or an indecomposable bundle.  R-FIBER never fails at a >= 1.
-  A Miyaoka failure, b + a*mu^-(Q) <= 0, fails on Q's minimal-slope atom
-  as well: by R-MIYAOKA on a non-line atom, by the curve threshold on a
-  line (and then on the lowest line).  An R-A1-DEC failure names one atom
-  A with b + mu(A) below its need, and A fails R-A1-INDEC or, as a line,
-  the curve threshold on its own.
-* A line, or a sum of two or three lines.  Every row that applies reads
-  the lines' degrees only through the lowest one and gets no easier as it
-  drops, so the lowest line, pair and triple reject whenever any other
-  does.
-* A line L plus a rank-2 atom G.  Lowering deg L only makes the rows
-  harder to pass, and it can take Q out of `rank3_exception`, where
-  R-RK3-DEC is only sufficient; so L + G rejects at the lowest L first.
-
-Every other proper sub-sum is a single atom or has rank >= 4.  The tests
-check the assumptions of each case against the catalog, and the decision
-against the full enumeration, so a catalog edit that breaks the pruning
-fails them.
+line and every distinct non-line atom, at most n + 1 for n distinct atoms
+instead of all prod(m_i + 1) - 2.  No sub-sum left out can carry a witness
+that a kept one does not.  On a decomposable Q the only screen rows that
+can say No are R-FIBER (never at a >= 1), R-MIYAOKA, R-A1-DEC, R-RK2-DEC,
+and R-RK3-DEC outside `rank3_exception`; every other row is sufficient on
+a decomposable bundle or does not apply to one.  A No from any of them shows on
+one atom A of Q: the minimal-slope atom for R-MIYAOKA, R-RK2-DEC and
+R-RK3-DEC (b + a*mu(A) then fails R-MIYAOKA, R-D0MODR or, on a line, the
+curve threshold), and the atom it names for R-A1-DEC (which fails
+R-A1-INDEC or the curve threshold).  A line's No also shows on the lowest
+line, because the curve threshold drops with the degree.  An odd rank-2 G
+of minimal slope in L + G is exactly `rank3_exception`, where R-RK3-DEC is
+only sufficient.  The tests check these assumptions against the catalog, and
+the decision against the full enumeration, so a catalog edit that breaks
+the pruning fails them.
 
 Frames: twisting E by a degree-l line bundle re-coordinatizes P(E) and
 sends aT + bf to aT + (b - a*l)f.  The canonical frames are the two
@@ -145,13 +133,10 @@ _SCREEN_RULES = tuple(
 @lru_cache(maxsize=2048)
 def _proper_sub_multisets(E: Bundle) -> tuple[Bundle, ...]:
     """The proper sub-sums the quotient screen visits, in (rank, atoms)
-    order: the ones that can carry a negative witness (module docstring)."""
-    lines = [atom for atom in E.atoms if atom.rank == 1]  # lowest degree first
-    others = set(E.atoms) - set(lines)
-    subs = {Bundle(lines[:k]) for k in (1, 2, 3) if k <= len(lines)}
-    subs.update(Bundle((atom,)) for atom in others)
-    if lines:
-        subs.update(Bundle((lines[0], G)) for G in others if G.rank == 2)
+    order: the lowest line and each distinct non-line atom (module
+    docstring)."""
+    # atoms sort by (rank, degree), so a line E.atoms[0] is the lowest one
+    subs = {Bundle((A,)) for A in E.atoms if A.rank > 1 or A == E.atoms[0]}
     subs.discard(E)
     return tuple(sorted(subs, key=lambda Q: (Q.rank, Q.atoms)))
 

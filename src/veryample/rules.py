@@ -24,6 +24,11 @@ Unknown window, which comes from each applicable sufficient row whose
 only comparison is on s: `s > t` leaves (.., t] open and `s >= t` leaves
 (.., t) open (`Rule.window_bound`).
 
+Only rows that can bind are kept.  A sufficient row implied by another
+under the same guard (s >= 3 by R-BUTLER's s > 2), or a necessary row whose
+every comparison R-QUOT-NEC makes on a single atom (the split rank-3
+thresholds), never changes a verdict, a window or a binding rule.
+
 Decision and record are separate: `Rule.decide` decides a row in a frame
 (guard, strength there, comparisons) without building anything, and
 `Rule.evaluate` makes the same decision and keeps it as a RuleFiring that
@@ -155,11 +160,6 @@ class Rule:
         comps = self.comparisons(frame)
         return _OUTCOMES[strength][all(c.holds for c in comps)], strength, comps
 
-    def outcome_in(self, frame: Frame) -> Outcome:
-        """What the row concludes in frame: the outcome evaluate would
-        record, without building the record."""
-        return self.decide(frame)[0]
-
     def evaluate(self, frame: Frame) -> RuleFiring:
         outcome, strength, comps = self.decide(frame)
         return RuleFiring(
@@ -218,21 +218,6 @@ def _rk3_indec_comps(fr: Frame) -> tuple[Comparison, ...]:
     if m == 1:
         return (_s_cmp(fr, ">", 1),)
     return (_s_cmp(fr, ">", Fraction(4, 3)),)
-
-
-def _rk3_dec_nec_comps(fr: Frame) -> tuple[Comparison, ...]:
-    atoms = fr.bundle.atoms
-    if len(atoms) == 3:
-        worst = min(atom.degree for atom in atoms)
-        return (_cmp("b + a*min deg", fr.b + fr.a * worst, ">=", 3),)
-    line, two = atoms
-    comps = [_cmp(f"b + a*deg({line})", fr.b + fr.a * line.degree, ">=", 3)]
-    half = fr.b + Fraction(fr.a * two.degree, 2)
-    if two.degree % 2 == 0:
-        comps.append(_cmp(f"b + a*deg({two})/2", half, ">=", 3))
-    else:
-        comps.append(_cmp(f"b + a*deg({two})/2", half, ">", 1))
-    return tuple(comps)
 
 
 def _r4d3_applies(fr: Frame) -> bool:
@@ -330,16 +315,6 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         comparisons=lambda fr: (_s_cmp(fr, ">", 2),),
     ),
     Rule(
-        rule_id="R-MU3",
-        property_name="very_ample",
-        citation="degree >= 3 line bundles on an elliptic curve are very ample",
-        scope="a >= 1",
-        statement="b + a*mu^-(E) >= 3",
-        applies=lambda fr: fr.a >= 1,
-        strength=Strength.SUFFICIENT,
-        comparisons=lambda fr: (_s_cmp(fr, ">=", 3),),
-    ),
-    Rule(
         rule_id="R-D0MODR",
         property_name="very_ample",
         citation="Gushel's criterion for twists of degree-zero bundles",
@@ -423,20 +398,6 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         strength=Strength.IFF,
         comparisons=lambda fr: (_s_cmp(fr, ">=", 3),),
         sufficient_when=lambda fr: rank3_exception(fr.bundle),
-    ),
-    Rule(
-        rule_id="R-RK3-DEC-NEC",
-        property_name="very_ample",
-        citation="rank-3 split necessity: section and quotient-scroll restrictions",
-        scope="a >= 1, rank 3, decomposable",
-        statement=(
-            "three lines: b + a*min deg >= 3; "
-            "line W plus rank-2 G: b + a*deg(W) >= 3 and "
-            "(deg G even: b + a*deg(G)/2 >= 3; deg G odd: b + a*deg(G)/2 > 1)"
-        ),
-        applies=lambda fr: fr.a >= 1 and fr.rank == 3 and not fr.indec,
-        strength=Strength.NECESSARY,
-        comparisons=_rk3_dec_nec_comps,
     ),
     Rule(
         rule_id="R-R4D3",
@@ -557,8 +518,7 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         statement=(
             "every proper summand sub-sum Q: the restriction to P(Q) admits "
             "no negative rule (rank-1 Q: b + a*deg(Q) >= 3); screened on the "
-            "Q that can fail first: the lowest line, each non-line atom, the "
-            "two and three lowest lines, the lowest line plus each rank-2 atom"
+            "Q that can fail first: the lowest line and each non-line atom"
         ),
         applies=lambda fr: fr.a >= 1 and not fr.indec,
         strength=Strength.NECESSARY,

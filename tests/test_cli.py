@@ -182,16 +182,15 @@ class TestExitCodes:
         assert "past the cap" in err
 
     def test_distinct_atom_cap(self, capsys):
-        # the quotient screen is 2^n in distinct atoms: 12 pass, 13 exit 2;
-        # a = 0 keeps the screen from running on the accepted bundle
-        twelve = ",".join(f"1:{d}" for d in range(12))
-        assert run(capsys, "classify", "--bundle", twelve, "--a", "0", "--b", "3")[0] == 0
-        code, out, err = run(capsys, "classify", "--bundle", twelve + ",1:12",
-                             "--a", "2", "--b", "3")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
-        assert "past the cap" in err
+        # classify and invariants have no screen cap: the quotient screen
+        # visits one sub-sum per distinct atom, so 13 and 64 distinct lines
+        # exit 0
+        thirteen = self._lines(*[1] * 13)
+        assert run(capsys, "classify", "--bundle", thirteen, "--a", "2", "--b", "3")[0] == 0
+        sixty_four = self._lines(*[1] * 64)
+        for command in ("classify", "invariants"):
+            assert run(capsys, command, "--bundle", sixty_four, "--a", "2",
+                       "--b", "3")[0] == 0
 
     @staticmethod
     def _lines(*counts: int) -> str:
@@ -199,28 +198,29 @@ class TestExitCodes:
         return ",".join(f"1:{d}" for d, m in enumerate(counts) for _ in range(m))
 
     def test_screen_size_cap(self, capsys):
-        # repeated atoms multiply the sub-sums to screen, prod(m_i + 1) - 2:
-        # 16 copies of 4 lines are rank 64 and 83,519 sub-sums
-        at_cap = self._lines(15, 15, 15)  # 16^3 = 4096
-        assert run(capsys, "classify", "--bundle", at_cap, "--a", "0", "--b", "3")[0] == 0
-        for past in (self._lines(15, 15, 16), self._lines(16, 16, 16, 16)):
-            code, out, err = run(capsys, "classify", "--bundle", past, "--a", "2",
-                                 "--b", "3")
-            assert code == 2
-            assert out == ""
-            assert err.startswith("error:")
-            assert "past the cap" in err
+        # repeated atoms count once: 16 copies each of 4 lines are rank 64
+        # and 4 distinct atoms
+        repeated = self._lines(16, 16, 16, 16)
+        assert run(capsys, "classify", "--bundle", repeated, "--a", "2", "--b", "3")[0] == 0
+        # 65,537 cells times 4 distinct atoms is past 2^18, checked before
+        # any cell is classified
+        code, out, err = run(capsys, "table", "--bundle", repeated, "--a", "2",
+                             "--b", "1..65537")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "4 distinct atoms" in err and "past the cap" in err
 
     def test_table_screen_work_cap(self, capsys):
-        # cells times prod(m_i + 1) <= 2^20: 256 cells of 12 distinct lines,
-        # checked before any cell is classified; a = 0 keeps the screen idle
-        twelve = self._lines(*[1] * 12)
-        code, out, _ = run(capsys, "table", "--bundle", twelve, "--a", "0",
-                           "--b", "1..256", "--format", "csv")
+        # cells times distinct atoms <= 2^18: 4096 cells of 64 distinct
+        # lines pass, 4098 exit 2 before any cell is classified
+        sixty_four = self._lines(*[1] * 64)
+        code, out, _ = run(capsys, "table", "--bundle", sixty_four, "--a", "2",
+                           "--b", "-2047..2048", "--format", "csv")
         assert code == 0
-        assert len(out.splitlines()) == 257
-        code, out, err = run(capsys, "table", "--bundle", twelve, "--a", "1..16",
-                             "--b", "1..17")
+        assert len(out.splitlines()) == 4097
+        code, out, err = run(capsys, "table", "--bundle", sixty_four, "--a", "1..2",
+                             "--b", "1..2049")
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
@@ -355,7 +355,7 @@ class TestRules:
     def test_catalog_counts(self, capsys):
         code, out, _ = run(capsys, "rules")
         assert code == 0
-        assert "very_ample: 20 rules" in out
+        assert "very_ample: 18 rules" in out
         assert "ample: 1 rules" in out
         assert "globally_generated: 2 rules" in out
         assert "normally_generated: 1 rules" in out
@@ -366,9 +366,9 @@ class TestRules:
         code, out, _ = run(capsys, "rules", "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert len(payload) == 24
+        assert len(payload) == 22
         ids = [entry["rule_id"] for entry in payload]
-        assert len(set(ids)) == 24
+        assert len(set(ids)) == 22
         butler = next(e for e in payload if e["rule_id"] == "R-BUTLER")
         assert "> 2" in butler["condition"]
         d0 = next(e for e in payload if e["rule_id"] == "R-D0MODR")
@@ -420,5 +420,17 @@ class TestClosedOutput:
                                   text=True, timeout=60)
         assert proc.returncode == 4
         assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write the output")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_help_to_a_full_device_exits_4(self):
+        # argparse drops its own write errors; the help text must not
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "veryample.cli", "--help"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert proc.returncode == 4
         assert proc.stderr.startswith("error: cannot write the output")
         assert proc.stderr.count("\n") == 1
