@@ -9,11 +9,10 @@ symmetric powers live here; everything is pure integer combinatorics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bundles import Bundle, IndecBundle
 
@@ -29,19 +28,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FBundle:
+class _FBundleFields(NamedTuple):
+    order: int
+
+
+class FBundle(_FBundleFields):
     """The indecomposable degree-0 bundle F_r, determined by its order r.
 
     F_r is self-dual, has h^0 = 1, and is an iterated extension of r copies
     of the trivial line bundle.
     """
 
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"F_r needs r >= 1, got {self.order}")
+    def __new__(cls, order: int) -> "FBundle":
+        if order < 1:
+            raise ValueError(f"F_r needs r >= 1, got {order}")
+        return tuple.__new__(cls, (order,))
 
     @property
     def rank(self) -> int:
@@ -62,18 +65,21 @@ class FBundle:
         return f"F_{self.order}"
 
 
-@dataclass(frozen=True)
-class SplitDegrees:
+class _SplitDegreesFields(NamedTuple):
+    degrees: tuple[int, ...]
+
+
+class SplitDegrees(_SplitDegreesFields):
     """A multiset of line-bundle degrees, the numerical shadow of a split
     bundle.  Kept sorted ascending."""
 
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, degrees: Iterable[int]) -> None:
+    def __new__(cls, degrees: Iterable[int]) -> "SplitDegrees":
         ds = tuple(sorted(int(d) for d in degrees))
         if not ds:
             raise ValueError("a split bundle needs at least one line bundle")
-        object.__setattr__(self, "degrees", ds)
+        return tuple.__new__(cls, (ds,))
 
     @classmethod
     def from_bundle(cls, bundle: Bundle) -> "SplitDegrees":

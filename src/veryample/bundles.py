@@ -15,10 +15,10 @@ the CLI and by tests.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+from ._frozen import Frozen
 
 Rational = Fraction
 
@@ -39,20 +39,25 @@ class BundleParseError(ValueError):
 _ATOM_RE = re.compile(r"^(\d+):(-?\d+)$")
 
 
-@dataclass(frozen=True, order=True)
-class IndecBundle:
-    """An indecomposable bundle, known by rank and degree alone.
+class _IndecBundleFields(NamedTuple):
+    rank: int
+    degree: int
+
+
+class IndecBundle(_IndecBundleFields):
+    """An indecomposable bundle, known by rank and degree alone; atoms order
+    by (rank, degree).
 
     Indecomposable bundles on an elliptic curve are semistable, so the atom
     carries its own slope and needs no filtration.
     """
 
-    rank: int
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"atom rank must be >= 1, got {self.rank}")
+    def __new__(cls, rank: int, degree: int) -> "IndecBundle":
+        if rank < 1:
+            raise ValueError(f"atom rank must be >= 1, got {rank}")
+        return tuple.__new__(cls, (rank, degree))
 
     @property
     def slope(self) -> Fraction:
@@ -77,8 +82,7 @@ class IndecBundle:
         return f"{self.rank}:{self.degree}"
 
 
-@dataclass(frozen=True)
-class HNStage:
+class HNStage(NamedTuple):
     """One slope layer of the Harder-Narasimhan filtration."""
 
     slope: Fraction
@@ -93,11 +97,17 @@ class HNStage:
         return sum(atom.degree for atom in self.atoms)
 
 
-@dataclass(frozen=True)
-class Bundle:
-    """A direct sum of atoms; the multiset is kept in canonical sorted order."""
+class Bundle(Frozen):
+    """A direct sum of atoms; the multiset is kept in canonical sorted order.
 
-    atoms: tuple[IndecBundle, ...]
+    rank, degree, slope, mu_minus, mu_plus and is_ample are each computed
+    on their first read (`_DERIVED`) and kept in their slot.
+    """
+
+    __slots__ = (
+        "atoms", "_hash", "rank", "degree", "slope", "mu_minus", "mu_plus", "is_ample",
+    )
+    _fields = ("atoms",)
 
     def __init__(self, atoms: Iterable[IndecBundle | tuple[int, int]]) -> None:
         normalized = tuple(
@@ -105,34 +115,31 @@ class Bundle:
         )
         if not normalized:
             raise ValueError("a bundle needs at least one atom")
-        object.__setattr__(self, "atoms", tuple(sorted(normalized)))
+        atoms = tuple(sorted(normalized))
+        object.__setattr__(self, "atoms", atoms)
+        # Frozen's hash of the key (atoms,), kept: every _twisted lookup hashes
+        object.__setattr__(self, "_hash", hash((atoms,)))
 
-    @cached_property
-    def rank(self) -> int:
-        return sum(atom.rank for atom in self.atoms)
+    def __getattr__(self, name: str):
+        # reached only for an empty slot: derive the value once and keep it
+        try:
+            derive = _DERIVED[name]
+        except KeyError:
+            raise AttributeError(
+                f"'Bundle' object has no attribute {name!r}"
+            ) from None
+        value = derive(self)
+        object.__setattr__(self, name, value)
+        return value
 
-    @cached_property
-    def degree(self) -> int:
-        return sum(atom.degree for atom in self.atoms)
+    def __eq__(self, other):
+        # Frozen's ==, without building the keys
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atoms == other.atoms
 
-    @cached_property
-    def slope(self) -> Fraction:
-        return Fraction(self.degree, self.rank)
-
-    @cached_property
-    def mu_minus(self) -> Fraction:
-        """Minimal slope among the atoms: the slope of the last HN quotient."""
-        return min(atom.slope for atom in self.atoms)
-
-    @cached_property
-    def mu_plus(self) -> Fraction:
-        """Maximal slope among the atoms: the slope of the first HN piece.
-
-        For a direct sum the maximal subsheaf slope is attained on a single
-        atom (any sub-sum slope is a mediant, hence <= the largest atom
-        slope), so the max over atoms is exact.
-        """
-        return max(atom.slope for atom in self.atoms)
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_indecomposable(self) -> bool:
@@ -141,11 +148,6 @@ class Bundle:
     @property
     def is_semistable(self) -> bool:
         return self.mu_minus == self.mu_plus
-
-    @cached_property
-    def is_ample(self) -> bool:
-        """Ample iff every atom has positive degree (Hartshorne, genus one)."""
-        return all(atom.degree > 0 for atom in self.atoms)
 
     def hn_filtration(self) -> tuple[HNStage, ...]:
         """Slope layers in strictly decreasing order; atoms of equal slope
@@ -167,6 +169,22 @@ class Bundle:
 
     def __str__(self) -> str:
         return ",".join(str(atom) for atom in self.atoms)
+
+
+_DERIVED = {
+    "rank": lambda E: sum(atom.rank for atom in E.atoms),
+    "degree": lambda E: sum(atom.degree for atom in E.atoms),
+    "slope": lambda E: Fraction(E.degree, E.rank),
+    # the minimal slope among the atoms: the slope of the last HN quotient
+    "mu_minus": lambda E: min(atom.slope for atom in E.atoms),
+    # the maximal slope among the atoms: the slope of the first HN piece.
+    # For a direct sum the maximal subsheaf slope is attained on a single
+    # atom (any sub-sum slope is a mediant, hence <= the largest atom
+    # slope), so the max over atoms is exact.
+    "mu_plus": lambda E: max(atom.slope for atom in E.atoms),
+    # ample iff every atom has positive degree (Hartshorne, genus one)
+    "is_ample": lambda E: all(atom.degree > 0 for atom in E.atoms),
+}
 
 
 def parse_bundle(text: str) -> Bundle:

@@ -18,7 +18,7 @@ h^0 is read off the degree and rank of the pushforward alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .atiyah import pushforward_mu_minus, sym_degree, sym_rank
 from .bundles import Bundle, IndecBundle
@@ -35,19 +35,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NumClass:
+class _NumClassFields(NamedTuple):
+    rank: int
+    degree: int
+    coeffs: tuple[tuple[tuple[int, int], int], ...]
+
+
+class NumClass(_NumClassFields):
     """An element of the numerical ring of P(E), in the T^i f^j basis.
 
     rank and degree pin down the ambient P(E); coeffs maps basis exponents
     (i, j) to integer coefficients, zero entries dropped.
     """
 
-    rank: int
-    degree: int
-    coeffs: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ()
 
-    def __init__(self, rank: int, degree: int, coeffs) -> None:
+    def __new__(cls, rank: int, degree: int, coeffs) -> "NumClass":
         if rank < 1:
             raise DomainError(f"P(E) needs rank >= 1, got {rank}")
         cleaned = {}
@@ -56,9 +59,7 @@ class NumClass:
                 raise DomainError(f"monomial T^{i} f^{j} outside the basis")
             if c:
                 cleaned[(i, j)] = int(c)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", tuple(sorted(cleaned.items())))
+        return tuple.__new__(cls, (rank, degree, tuple(sorted(cleaned.items()))))
 
     # -- constructors ------------------------------------------------------
 

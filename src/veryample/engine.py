@@ -45,7 +45,6 @@ fired in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -82,8 +81,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(NamedTuple):
     """The numerical divisor class aT + bf on P(E)."""
 
     a: int

@@ -38,11 +38,10 @@ The engine merges on decisions and calls `evaluate` only to build a trail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
+from ._frozen import Frozen
 # unused here; kept because perfbench/tracing.py wraps rules.sym_power_split
 from .atiyah import sym_power_split  # noqa: F401
 from .bundles import Bundle
@@ -60,14 +59,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One divisor, seen in one twist frame: E(l) with b replaced by b - a*l."""
+class Frame(Frozen):
+    """One divisor, seen in one twist frame: E(l) with b replaced by b - a*l.
 
-    l: int
-    bundle: Bundle
-    a: int
-    b: int
+    s = b + a*mu^-(E), invariant under change of frame, is computed once,
+    with the frame.
+    """
+
+    __slots__ = ("l", "bundle", "a", "b", "s")
+    _fields = ("l", "bundle", "a", "b")
+
+    def __init__(self, l: int, bundle: Bundle, a: int, b: int) -> None:
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "s", b + a * bundle.mu_minus)
 
     @property
     def rank(self) -> int:
@@ -88,11 +95,6 @@ class Frame:
     @property
     def mu_minus(self) -> Fraction:
         return self.bundle.mu_minus
-
-    @cached_property
-    def s(self) -> Fraction:
-        """b + a*mu^-(E); invariant under change of frame."""
-        return self.b + self.a * self.bundle.mu_minus
 
     @property
     def ample(self) -> bool:
@@ -120,8 +122,7 @@ _OUTCOMES = {
 }
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One catalog row.  strength is the row's strength wherever it applies,
     except that a branching row drops to sufficient in the frames where
     sufficient_when holds."""

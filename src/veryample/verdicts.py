@@ -15,10 +15,10 @@ leave the trail out.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
+
+from ._frozen import Frozen
 
 __all__ = [
     "Status",
@@ -71,18 +71,22 @@ class Outcome(str, enum.Enum):
     INAPPLICABLE = "inapplicable"
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """One exact inequality, evaluated: lhs op rhs with op in {>, >=}."""
-
+class _ComparisonFields(NamedTuple):
     label: str
     lhs: Fraction
     op: str
     rhs: Fraction
 
-    def __post_init__(self) -> None:
-        if self.op not in (">", ">="):
-            raise ValueError(f"comparison operator must be > or >=, got {self.op!r}")
+
+class Comparison(_ComparisonFields):
+    """One exact inequality, evaluated: lhs op rhs with op in {>, >=}."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, lhs: Fraction, op: str, rhs: Fraction) -> "Comparison":
+        if op not in (">", ">="):
+            raise ValueError(f"comparison operator must be > or >=, got {op!r}")
+        return tuple.__new__(cls, (label, lhs, op, rhs))
 
     @property
     def holds(self) -> bool:
@@ -96,8 +100,7 @@ class Comparison:
         )
 
 
-@dataclass(frozen=True)
-class RuleFiring:
+class RuleFiring(NamedTuple):
     """One rule evaluated against one divisor in one frame.
 
     The record keeps the comparisons the rule made and a note that prefixes
@@ -156,8 +159,7 @@ class RuleFiring:
         }
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """An interval for the slope invariant b + a*mu^-(E); None means
     unbounded on that side."""
 
@@ -190,26 +192,50 @@ _STATUS_WORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """A classification with its full justification trail.
 
-    trail builds the firings; it runs on the first read of `firings`.
+    trail builds the firings; it runs on the first read of `firings`, which
+    keeps them.  ==, hash and repr leave the trail out.
     """
 
-    property_name: str
-    outcome: Status
-    strength: Optional[Strength]
-    binding_rule: Optional[str]
-    trail: Callable[[], tuple[RuleFiring, ...]] = field(repr=False, compare=False)
-    unknown_window: Optional[Window] = None
-    unknown_reason: Optional[str] = None
-    slope_invariant: Optional[Fraction] = field(default=None)
+    __slots__ = (
+        "property_name", "outcome", "strength", "binding_rule", "trail",
+        "unknown_window", "unknown_reason", "slope_invariant", "_firings",
+    )
+    _fields = (
+        "property_name", "outcome", "strength", "binding_rule",
+        "unknown_window", "unknown_reason", "slope_invariant",
+    )
 
-    @cached_property
+    def __init__(
+        self,
+        property_name: str,
+        outcome: Status,
+        strength: Optional[Strength],
+        binding_rule: Optional[str],
+        trail: Callable[[], tuple[RuleFiring, ...]],
+        unknown_window: Optional[Window] = None,
+        unknown_reason: Optional[str] = None,
+        slope_invariant: Optional[Fraction] = None,
+    ) -> None:
+        object.__setattr__(self, "property_name", property_name)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "strength", strength)
+        object.__setattr__(self, "binding_rule", binding_rule)
+        object.__setattr__(self, "trail", trail)
+        object.__setattr__(self, "unknown_window", unknown_window)
+        object.__setattr__(self, "unknown_reason", unknown_reason)
+        object.__setattr__(self, "slope_invariant", slope_invariant)
+
+    @property
     def firings(self) -> tuple[RuleFiring, ...]:
         """Every rule in every frame, ordered by (rule id, frame)."""
-        return self.trail()
+        try:
+            return self._firings
+        except AttributeError:
+            object.__setattr__(self, "_firings", self.trail())
+            return self._firings
 
     @property
     def status(self) -> str:

@@ -1,15 +1,38 @@
-"""Atom grammar, slope invariants, filtration, twist and dual."""
+"""Atom grammar, slope invariants, filtration, twist and dual, and the
+contract of the public value types."""
 
 from __future__ import annotations
 
+import copy
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veryample import Bundle, BundleParseError, IndecBundle, parse_bundle
+from veryample import (
+    Bundle,
+    BundleParseError,
+    Comparison,
+    Divisor,
+    DomainError,
+    FBundle,
+    Frame,
+    HNStage,
+    IndecBundle,
+    NumClass,
+    Outcome,
+    Rule,
+    RuleFiring,
+    SplitDegrees,
+    Status,
+    Strength,
+    Verdict,
+    Window,
+    parse_bundle,
+)
 
 from conftest import bundles, small_bundles
 
@@ -160,3 +183,127 @@ class TestAmpleness:
     def test_ample_iff_every_atom_positive(self, B):
         assert B.is_ample == all(A.degree > 0 for A in B.atoms)
         assert B.is_ample == (B.mu_minus > 0)
+
+
+def _always(frame):
+    return True
+
+
+def _no_comparisons(frame):
+    return ()
+
+
+# (factory, a field, repr): the factory builds a fresh value on each call
+VALUES = [
+    (lambda: IndecBundle(rank=1, degree=2), "rank", "IndecBundle(rank=1, degree=2)"),
+    (
+        lambda: Bundle([(2, 3), IndecBundle(1, 2)]),
+        "atoms",
+        "Bundle(atoms=(IndecBundle(rank=1, degree=2), IndecBundle(rank=2, degree=3)))",
+    ),
+    (
+        lambda: HNStage(Fraction(1), (IndecBundle(1, 1),)),
+        "slope",
+        "HNStage(slope=Fraction(1, 1), atoms=(IndecBundle(rank=1, degree=1),))",
+    ),
+    (lambda: FBundle(2), "order", "FBundle(order=2)"),
+    (lambda: SplitDegrees([2, 1]), "degrees", "SplitDegrees(degrees=(1, 2))"),
+    (
+        lambda: NumClass(2, 1, {(1, 0): 1, (0, 1): 0}),
+        "coeffs",
+        "NumClass(rank=2, degree=1, coeffs=(((1, 0), 1),))",
+    ),
+    (lambda: Divisor(2, -1), "b", "Divisor(a=2, b=-1)"),
+    (
+        lambda: Frame(0, parse_bundle("2:1"), 2, -1),
+        "b",
+        "Frame(l=0, bundle=Bundle(atoms=(IndecBundle(rank=2, degree=1),)), a=2, b=-1)",
+    ),
+    (
+        lambda: Rule("R-X", "very_ample", "c", "every divisor", "a >= 1",
+                     Strength.IFF, _always, _no_comparisons),
+        "rule_id",
+        "Rule(rule_id='R-X', property_name='very_ample', citation='c', "
+        "scope='every divisor', statement='a >= 1', strength=<Strength.IFF: 'iff'>, "
+        f"applies={_always!r}, comparisons={_no_comparisons!r}, "
+        "sufficient_when=None, special=None)",
+    ),
+    (
+        lambda: Comparison("s", Fraction(1), ">=", Fraction(3)),
+        "op",
+        "Comparison(label='s', lhs=Fraction(1, 1), op='>=', rhs=Fraction(3, 1))",
+    ),
+    (
+        lambda: RuleFiring("R-X", "c", Strength.IFF, Outcome.YES, 0),
+        "outcome",
+        "RuleFiring(rule_id='R-X', citation='c', strength=<Strength.IFF: 'iff'>, "
+        "outcome=<Outcome.YES: 'yes'>, frame=0, comparisons=(), note='')",
+    ),
+    (
+        lambda: Window(Fraction(0), True, None, False),
+        "hi",
+        "Window(lo=Fraction(0, 1), lo_strict=True, hi=None, hi_inclusive=False)",
+    ),
+    (
+        lambda: Verdict("very_ample", Status.YES, Strength.IFF, "R-X", tuple),
+        "outcome",
+        "Verdict(property_name='very_ample', outcome=<Status.YES: 'yes'>, "
+        "strength=<Strength.IFF: 'iff'>, binding_rule='R-X', unknown_window=None, "
+        "unknown_reason=None, slope_invariant=None)",
+    ),
+]
+VALUE_IDS = [text[: text.index("(")] for _, _, text in VALUES]
+
+
+class TestValueTypes:
+    """What callers rely on of every public value type."""
+
+    @pytest.mark.parametrize("make, field, text", VALUES, ids=VALUE_IDS)
+    def test_equality_hash_and_repr(self, make, field, text):
+        x, y = make(), make()
+        assert x is not y and x == y and hash(x) == hash(y)
+        assert repr(x) == text
+        assert copy.deepcopy(x) == x
+        assert x != object()
+
+    @pytest.mark.parametrize("make, field, text", VALUES, ids=VALUE_IDS)
+    def test_setting_an_attribute_raises(self, make, field, text):
+        x = make()
+        for name in (field, "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+        assert repr(x) == text
+
+    def test_atom_order_and_canonical_sum(self):
+        atoms = [IndecBundle(2, -1), IndecBundle(1, 5), IndecBundle(1, -3), IndecBundle(2, -4)]
+        ordered = (IndecBundle(1, -3), IndecBundle(1, 5), IndecBundle(2, -4), IndecBundle(2, -1))
+        assert tuple(sorted(atoms)) == ordered
+        assert IndecBundle(1, 5) < IndecBundle(2, -4) <= IndecBundle(2, -4)
+        assert Bundle(atoms).atoms == ordered
+        assert Bundle(atoms) == Bundle(reversed(atoms))
+        assert hash(Bundle(atoms)) == hash(Bundle(reversed(atoms)))
+        assert Bundle([(2, -1), (1, 5)]) == Bundle([IndecBundle(1, 5), IndecBundle(2, -1)])
+        assert Bundle(atoms) != Bundle(atoms[:3])
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: IndecBundle(0, 1), ValueError, "atom rank must be >= 1, got 0"),
+            (lambda: IndecBundle(rank=-2, degree=1), ValueError, "atom rank must be >= 1, got -2"),
+            (lambda: Bundle([(0, 3)]), ValueError, "atom rank must be >= 1, got 0"),
+            (lambda: Bundle(()), ValueError, "a bundle needs at least one atom"),
+            (lambda: FBundle(0), ValueError, "F_r needs r >= 1, got 0"),
+            (lambda: SplitDegrees([]), ValueError, "a split bundle needs at least one line bundle"),
+            (lambda: NumClass(0, 1, {}), DomainError, "P(E) needs rank >= 1, got 0"),
+            (
+                lambda: Comparison("s", Fraction(1), "<", Fraction(0)),
+                ValueError,
+                "comparison operator must be > or >=, got '<'",
+            ),
+        ],
+        ids=["IndecBundle", "IndecBundle-keywords", "Bundle-atom", "Bundle-empty",
+             "FBundle", "SplitDegrees", "NumClass", "Comparison"],
+    )
+    def test_validation_errors(self, make, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            make()

@@ -388,6 +388,22 @@ def test_import_leaves_the_process_pool_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI process pays for what `import veryample.cli` loads; pytest
+    # and hypothesis import both modules themselves, so a fresh interpreter
+    # is asked what the import adds
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import veryample.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "veryample.cli", "classify", "--bundle", "2:1",

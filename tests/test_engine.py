@@ -198,7 +198,7 @@ class TestFiringTrail:
         assert count == 76_608
         assert digest.hexdigest() == self.TRAIL_DIGEST
 
-    def test_outcome_in_matches_evaluate(self):
+    def test_decide_matches_evaluate(self):
         rows = [rule for rule in VERY_AMPLE_RULES if rule.special is None]
         for E in small_bundles(4, 2):
             for a in range(0, 5):
@@ -384,7 +384,7 @@ class TestQuotientScreen:
     @given(bundles(min_rank=2, max_rank=8), st.integers(0, 6), st.integers(-8, 8))
     @example(parse_bundle("1:2,2:3"), 2, -1)  # rank3_exception: no No at s = 2
     @example(parse_bundle("1:1,2:3"), 2, 0)  # R-RK3-DEC's No on the line
-    def test_rank_4_sums_are_rejected_only_where_an_atom_is(self, Q, a, b):
+    def test_a_no_on_a_sum_shows_on_one_atom(self, Q, a, b):
         # every decomposable Q of rank 2..8, not only rank >= 4: a No from
         # a screen row shows on one atom, the one-atom screen's assumption
         if Q.is_indecomposable:
@@ -413,7 +413,10 @@ class TestQuotientScreen:
         st.integers(-8, 8),
     )
     def test_lowering_a_line_never_lifts_a_no(self, ranks, degrees, which, drop, a, b):
-        # the two-line, three-line and line + rank-2 shapes
+        # a property of the catalog, pinned on the two-line, three-line and
+        # line + rank-2 shapes: lowering a line's degree keeps a No.  The
+        # one-atom screen does not rely on it; its assumption is checked by
+        # test_a_no_on_a_sum_shows_on_one_atom
         atoms = list(zip(ranks, degrees))
         which = which % ranks.count(1)
         lowered = list(atoms)
