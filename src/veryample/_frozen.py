@@ -1,4 +1,5 @@
-"""The base of the slotted value types: Bundle, Frame and Verdict.
+"""The base of the slotted value types (Bundle, Frame and Verdict), and
+the `_make` of the named tuples that validate.
 
 The plain records of the package are typing.NamedTuples.  The three types
 here have a custom constructor, a value computed once, or a field that
@@ -14,7 +15,13 @@ of the same class.
 
 from __future__ import annotations
 
-__all__ = ["Frozen"]
+__all__ = ["Frozen", "validated_make"]
+
+
+def validated_make(cls, iterable):
+    """`_make` for a named tuple whose __new__ validates: namedtuple's own
+    `_make`, which `_replace` calls, builds the tuple past __new__."""
+    return cls(*iterable)
 
 
 class Frozen:

@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement
 from math import comb, gcd
 from typing import Iterable, NamedTuple
 
+from ._frozen import validated_make
 from .bundles import Bundle, IndecBundle
 
 __all__ = [
@@ -40,6 +41,7 @@ class FBundle(_FBundleFields):
     """
 
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, order: int) -> "FBundle":
         if order < 1:
@@ -74,6 +76,7 @@ class SplitDegrees(_SplitDegreesFields):
     bundle.  Kept sorted ascending."""
 
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, degrees: Iterable[int]) -> "SplitDegrees":
         ds = tuple(sorted(int(d) for d in degrees))

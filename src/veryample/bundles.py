@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from ._frozen import Frozen
+from ._frozen import Frozen, validated_make
 
 Rational = Fraction
 
@@ -53,6 +53,7 @@ class IndecBundle(_IndecBundleFields):
     """
 
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, rank: int, degree: int) -> "IndecBundle":
         if rank < 1:

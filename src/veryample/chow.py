@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ._frozen import validated_make
 from .atiyah import pushforward_mu_minus, sym_degree, sym_rank
 from .bundles import Bundle, IndecBundle
 from .errors import ContextMismatchError, DomainError, H0UndefinedError
@@ -49,6 +50,7 @@ class NumClass(_NumClassFields):
     """
 
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, rank: int, degree: int, coeffs) -> "NumClass":
         if rank < 1:

@@ -7,12 +7,12 @@ simultaneous Yes and No is not a tie to break: it means the catalog is
 transcribed wrong, and it raises ContradictionError instead of returning
 anything.
 
-Deciding builds no record.  R-QUOT-NEC is one decision, No as soon as one
-screened sub-sum Q has a negative witness, so its screen stops there.  The
-firing trail (`_evaluate_catalog`: every row in every frame, one R-QUOT-NEC
-firing per screened sub-sum) is built from scratch the first time a
-verdict's `firings` is read, and holds exactly the outcomes that were
-merged.
+Deciding builds no record.  Each row is decided once in each frame, and
+R-QUOT-NEC once, No as soon as one screened sub-sum Q has a negative
+witness, so its screen stops there.  The verdict binds on these decisions,
+reads its Unknown window off them, and keeps them: the first read of its
+`firings` records them as the trail, in which only R-QUOT-NEC is screened
+again, for one firing per screened sub-sum.
 
 The quotient screen.  R-QUOT-NEC restricts D to the quotient scrolls P(Q),
 Q a proper sub-sum of E's atoms, and says No when a row that can say No
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .atiyah import pushforward_mu_minus
 from .bundles import Bundle
@@ -56,6 +56,7 @@ from .rules import (
     AMPLE_RULES,
     GLOBALLY_GENERATED_RULES,
     NORMALLY_GENERATED_RULES,
+    S_LABEL,
     VERY_AMPLE_RULES,
     Frame,
     Rule,
@@ -163,14 +164,14 @@ def _negative_witness(
     return None
 
 
-def _quotient_firings(rule: Rule, E: Bundle, D: Divisor) -> list[RuleFiring]:
-    whole = Frame(0, E, D.a, D.b)
-    if not rule.applies(whole):
-        return [rule.evaluate(whole)]
+def _quotient_firings(rule: Rule, whole: Frame, D: Divisor) -> list[RuleFiring]:
+    """R-QUOT-NEC's firings in the untwisted frame of a bundle it applies
+    to, one per screened sub-sum."""
     firings = []
-    for Q in _proper_sub_multisets(E):
+    for Q in _proper_sub_multisets(whole.bundle):
         witness = _negative_witness(Q, D)
         if witness is None:
+            outcome = Outcome.PASS
             note = f"restriction to P({Q}): no negative rule applies; "
             comps = (
                 _curve_comparison(Q, D)
@@ -180,104 +181,89 @@ def _quotient_firings(rule: Rule, E: Bundle, D: Divisor) -> list[RuleFiring]:
                 ),
             )
         else:
-            rejecter, comps = witness
+            outcome, (rejecter, comps) = Outcome.NO, witness
             note = f"restriction to P({Q}) is rejected by {rejecter}: "
-        firings.append(
-            RuleFiring(
-                rule_id=rule.rule_id,
-                citation=rule.citation,
-                strength=Strength.NECESSARY,
-                outcome=Outcome.PASS if witness is None else Outcome.NO,
-                frame=0,
-                comparisons=comps,
-                note=note,
-            )
-        )
+        firing = rule.record(whole, outcome, Strength.NECESSARY, comps)
+        firings.append(firing._replace(note=note))
     return firings
 
 
 # -- decision, trail and merge -----------------------------------------------
 
 class _Decision(NamedTuple):
-    """What one row concluded in one frame: the fields _merge reads of a
-    RuleFiring."""
+    """One row decided in one frame: what Rule.decide returns there.  The
+    fields _merge reads are fields of a RuleFiring too."""
 
-    rule_id: str
-    strength: Optional[Strength]
+    rule: Rule
+    frame: Frame
     outcome: Outcome
+    strength: Optional[Strength]
+    comparisons: tuple[Comparison, ...]
+
+    @property
+    def rule_id(self) -> str:
+        return self.rule.rule_id
 
 
 def _decide_catalog(
     rules: tuple[Rule, ...], E: Bundle, D: Divisor
 ) -> list[_Decision]:
-    """Every row decided in every canonical frame, with the outcome and
-    strength _evaluate_catalog records there.  R-QUOT-NEC is one decision:
-    No if some sub-sum's firing would say No, which the screen knows at the
-    first witness."""
+    """Every row decided once in every canonical frame.  R-QUOT-NEC is
+    decided once, in the untwisted frame, and its pass turns into No at the
+    first screened sub-sum with a negative witness."""
     frames = canonical_frames(E, D)
     decisions = []
     for rule in rules:
         if rule.special == "quotient":
-            if not rule.applies(Frame(0, E, D.a, D.b)):
-                decisions.append(_Decision(rule.rule_id, None, Outcome.INAPPLICABLE))
-                continue
-            rejected = any(
+            whole = Frame(0, E, D.a, D.b)
+            outcome, strength, comps = rule.decide(whole)
+            if outcome is Outcome.PASS and any(
                 _negative_witness(Q, D) is not None for Q in _proper_sub_multisets(E)
-            )
-            outcome = Outcome.NO if rejected else Outcome.PASS
-            decisions.append(_Decision(rule.rule_id, Strength.NECESSARY, outcome))
+            ):
+                outcome = Outcome.NO
+            decisions.append(_Decision(rule, whole, outcome, strength, comps))
             continue
         for frame in frames:
-            outcome, strength, _ = rule.decide(frame)
-            decisions.append(_Decision(rule.rule_id, strength, outcome))
+            decisions.append(_Decision(rule, frame, *rule.decide(frame)))
     return decisions
+
+
+def _trail(decisions: Sequence[_Decision], D: Divisor) -> tuple[RuleFiring, ...]:
+    """The firings of decisions, sorted by (rule id, frame): each decision
+    recorded, except that an applicable R-QUOT-NEC becomes one firing per
+    screened sub-sum."""
+    firings: list[RuleFiring] = []
+    for rule, frame, outcome, strength, comps in decisions:
+        if rule.special == "quotient" and outcome is not Outcome.INAPPLICABLE:
+            firings.extend(_quotient_firings(rule, frame, D))
+        else:
+            firings.append(rule.record(frame, outcome, strength, comps))
+    firings.sort(key=lambda f: (f.rule_id, f.frame))
+    return tuple(firings)
 
 
 def _evaluate_catalog(
     rules: tuple[Rule, ...], E: Bundle, D: Divisor
 ) -> tuple[RuleFiring, ...]:
-    """The firing trail: every row evaluated in every canonical frame, one
-    R-QUOT-NEC firing per proper sub-sum, sorted by (rule id, frame)."""
-    frames = canonical_frames(E, D)
-    firings: list[RuleFiring] = []
-    for rule in rules:
-        if rule.special == "quotient":
-            firings.extend(_quotient_firings(rule, E, D))
-            continue
-        for frame in frames:
-            firings.append(rule.evaluate(frame))
-    firings.sort(key=lambda f: (f.rule_id, f.frame))
-    return tuple(firings)
+    """The firing trail of a fresh decision of every row."""
+    return _trail(_decide_catalog(rules, E, D), D)
 
 
 _AFFIRMATIVE_RANK = {Strength.IFF: 0, Strength.SUFFICIENT: 1}
 _NEGATIVE_RANK = {Strength.IFF: 0, Strength.NECESSARY: 1}
 
 
-_Decided = Union[_Decision, RuleFiring]
-
-
-def _binding(decisions: list[_Decided], ranking: dict) -> _Decided:
-    # strongest first, then lowest rule id; the ties share both, which is
-    # all a verdict keeps of its binding decision
-    return min(decisions, key=lambda f: (ranking[f.strength], f.rule_id))
-
-
 def _merge(
     property_name: str,
     E: Bundle,
     D: Divisor,
-    decisions: Sequence[_Decided],
-    rules: tuple[Rule, ...],
+    decisions: Sequence[_Decision],
     lo: Optional[tuple[Fraction, bool]],
-    trail: Optional[Callable[[], tuple[RuleFiring, ...]]] = None,
+    trail: Callable[[], tuple[RuleFiring, ...]],
 ) -> Verdict:
-    """Bind the verdict on decisions.  trail builds the firings the verdict
-    shows when they are read; without it, decisions are a recorded trail
-    and are shown themselves."""
-    if trail is None:
-        recorded = tuple(decisions)
-        trail = lambda: recorded  # noqa: E731
+    """Bind the verdict on decisions, or on the firings of a trail, which
+    carry the same fields.  trail builds the firings the verdict shows when
+    they are read."""
     s = pushforward_mu_minus(E, D.a, D.b)
     yes = [f for f in decisions if f.outcome is Outcome.YES]
     no = [f for f in decisions if f.outcome is Outcome.NO]
@@ -291,21 +277,22 @@ def _merge(
             f"D = {D}: {yes[0].rule_id} concludes yes ({yes[0].condition}) "
             f"but {no[0].rule_id} concludes no ({no[0].condition})"
         )
-    if no:
-        f = _binding(no, _NEGATIVE_RANK)
-        return Verdict(
-            property_name, Status.NO, f.strength, f.rule_id, trail,
-            slope_invariant=s,
-        )
-    if yes:
-        f = _binding(yes, _AFFIRMATIVE_RANK)
-        return Verdict(
-            property_name, Status.YES, f.strength, f.rule_id, trail,
-            slope_invariant=s,
-        )
+    for status, found, ranking in (
+        (Status.NO, no, _NEGATIVE_RANK), (Status.YES, yes, _AFFIRMATIVE_RANK)
+    ):
+        if found:
+            # strongest first, then lowest rule id; the ties share both,
+            # which is all a verdict keeps of its binding decision
+            f = min(found, key=lambda d: (ranking[d.strength], d.rule_id))
+            return Verdict(
+                property_name, status, f.strength, f.rule_id, trail,
+                slope_invariant=s,
+            )
+    # a sufficient s > t leaves (.., t] open, and s >= t leaves (.., t)
     hi = min(
-        (bound for frame in canonical_frames(E, D) for rule in rules
-         if (bound := rule.window_bound(frame)) is not None),
+        ((c.rhs, c.op == ">") for f in decisions
+         if f.strength is Strength.SUFFICIENT and len(f.comparisons) == 1
+         and (c := f.comparisons[0]).label == S_LABEL),
         default=None,
     )
     window = Window(
@@ -320,14 +307,8 @@ def _merge(
         else "no-applicable-rule"
     )
     return Verdict(
-        property_name,
-        Status.UNKNOWN,
-        None,
-        None,
-        trail,
-        unknown_window=window,
-        unknown_reason=reason,
-        slope_invariant=s,
+        property_name, Status.UNKNOWN, None, None, trail,
+        unknown_window=window, unknown_reason=reason, slope_invariant=s,
     )
 
 
@@ -345,9 +326,9 @@ def _classify(
     D: Divisor,
     lo: Optional[tuple[Fraction, bool]],
 ) -> Verdict:
+    decisions = _decide_catalog(rules, E, D)
     return _merge(
-        property_name, E, D, _decide_catalog(rules, E, D), rules, lo,
-        trail=lambda: _evaluate_catalog(rules, E, D),
+        property_name, E, D, decisions, lo, lambda: _trail(decisions, D)
     )
 
 

@@ -17,12 +17,12 @@ Strength is data on the row.  `strength` is iff, sufficient or necessary;
 a branching row (R-RK3-INDEC, R-RK3-DEC, R-R4D3) is iff except in the
 frames where its `sufficient_when` predicate holds, where it is only
 sufficient.  Everything else the engine needs is derived from these two
-fields: the strength a firing records (`Rule.strength_in`), the label
+fields: the strength a row decides in a frame (`Rule.decide`), the label
 `veryample rules` prints, the rows that screen the quotient scrolls for
 R-QUOT-NEC (every row that is not sufficient), and the upper end of an
-Unknown window, which comes from each applicable sufficient row whose
-only comparison is on s: `s > t` leaves (.., t] open and `s >= t` leaves
-(.., t) open (`Rule.window_bound`).
+Unknown window, which the engine reads off each applicable sufficient row
+whose only comparison is on s (`S_LABEL`): `s > t` leaves (.., t] open and
+`s >= t` leaves (.., t) open.
 
 Only rows that can bind are kept.  A sufficient row implied by another
 under the same guard (s >= 3 by R-BUTLER's s > 2), or a necessary row whose
@@ -31,9 +31,10 @@ thresholds), never changes a verdict, a window or a binding rule.
 
 Decision and record are separate: `Rule.decide` decides a row in a frame
 (guard, strength there, comparisons) without building anything, and
-`Rule.evaluate` makes the same decision and keeps it as a RuleFiring that
-holds the comparisons; their text is rendered only when the trail is read.
-The engine merges on decisions and calls `evaluate` only to build a trail.
+`Rule.record` keeps a decision as a RuleFiring that holds the comparisons;
+their text is rendered only when the trail is read.  `Rule.evaluate` is the
+two in one.  The engine decides each row once per frame, merges on the
+decisions and records the same decisions when a trail is read.
 """
 
 from __future__ import annotations
@@ -144,11 +145,6 @@ class Rule(NamedTuple):
             return self.strength.value
         return f"{self.strength.value} / sufficient"
 
-    def strength_in(self, frame: Frame) -> Strength:
-        if self.sufficient_when is not None and self.sufficient_when(frame):
-            return Strength.SUFFICIENT
-        return self.strength
-
     def decide(
         self, frame: Frame
     ) -> tuple[Outcome, Optional[Strength], tuple[Comparison, ...]]:
@@ -157,12 +153,17 @@ class Rule(NamedTuple):
         or rendered; strength is None when the guard fails."""
         if not self.applies(frame):
             return Outcome.INAPPLICABLE, None, ()
-        strength = self.strength_in(frame)
+        strength = self.strength
+        if self.sufficient_when is not None and self.sufficient_when(frame):
+            strength = Strength.SUFFICIENT
         comps = self.comparisons(frame)
         return _OUTCOMES[strength][all(c.holds for c in comps)], strength, comps
 
-    def evaluate(self, frame: Frame) -> RuleFiring:
-        outcome, strength, comps = self.decide(frame)
+    def record(
+        self, frame: Frame, outcome: Outcome, strength: Optional[Strength],
+        comps: tuple[Comparison, ...],
+    ) -> RuleFiring:
+        """The RuleFiring that keeps a decision this row made in frame."""
         return RuleFiring(
             rule_id=self.rule_id,
             citation=self.citation,
@@ -177,16 +178,9 @@ class Rule(NamedTuple):
             ),
         )
 
-    def window_bound(self, frame: Frame) -> Optional[tuple[Fraction, bool]]:
-        """Upper end of the range of s this row leaves open in frame, as
-        (value, inclusive), when the row applies, is sufficient there and
-        compares nothing but s."""
-        _, strength, comps = self.decide(frame)
-        if strength is not Strength.SUFFICIENT:
-            return None
-        if len(comps) != 1 or comps[0].label != _S_LABEL:
-            return None
-        return comps[0].rhs, comps[0].op == ">"
+    def evaluate(self, frame: Frame) -> RuleFiring:
+        """decide, then record."""
+        return self.record(frame, *self.decide(frame))
 
 
 # -- comparison builders ----------------------------------------------------
@@ -195,11 +189,13 @@ def _cmp(label: str, lhs, op: str, rhs) -> Comparison:
     return Comparison(label, Fraction(lhs), op, Fraction(rhs))
 
 
-_S_LABEL = "b + a*mu^-(E)"
+# The label of every comparison on s; the engine reads the upper end of an
+# Unknown window off the sufficient decisions that compare nothing else.
+S_LABEL = "b + a*mu^-(E)"
 
 
 def _s_cmp(fr: Frame, op: str, rhs) -> Comparison:
-    return _cmp(_S_LABEL, fr.s, op, rhs)
+    return _cmp(S_LABEL, fr.s, op, rhs)
 
 
 # -- individual rows ---------------------------------------------------------

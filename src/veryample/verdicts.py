@@ -18,7 +18,7 @@ import enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from ._frozen import Frozen
+from ._frozen import Frozen, validated_make
 
 __all__ = [
     "Status",
@@ -82,6 +82,7 @@ class Comparison(_ComparisonFields):
     """One exact inequality, evaluated: lhs op rhs with op in {>, >=}."""
 
     __slots__ = ()
+    _make = classmethod(validated_make)
 
     def __new__(cls, label: str, lhs: Fraction, op: str, rhs: Fraction) -> "Comparison":
         if op not in (">", ">="):

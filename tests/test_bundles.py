@@ -300,9 +300,24 @@ class TestValueTypes:
                 ValueError,
                 "comparison operator must be > or >=, got '<'",
             ),
+            # namedtuple's _make and _replace go through the same checks
+            (lambda: IndecBundle._make((0, 1)), ValueError, "atom rank must be >= 1, got 0"),
+            (lambda: IndecBundle(2, 1)._replace(rank=-3), ValueError,
+             "atom rank must be >= 1, got -3"),
+            (lambda: FBundle._make((0,)), ValueError, "F_r needs r >= 1, got 0"),
+            (lambda: SplitDegrees([1])._replace(degrees=()), ValueError,
+             "a split bundle needs at least one line bundle"),
+            (lambda: NumClass._make((0, 1, ())), DomainError, "P(E) needs rank >= 1, got 0"),
+            (
+                lambda: Comparison("s", Fraction(1), ">", Fraction(0))._replace(op="<"),
+                ValueError,
+                "comparison operator must be > or >=, got '<'",
+            ),
         ],
         ids=["IndecBundle", "IndecBundle-keywords", "Bundle-atom", "Bundle-empty",
-             "FBundle", "SplitDegrees", "NumClass", "Comparison"],
+             "FBundle", "SplitDegrees", "NumClass", "Comparison",
+             "IndecBundle-make", "IndecBundle-replace", "FBundle-make",
+             "SplitDegrees-replace", "NumClass-make", "Comparison-replace"],
     )
     def test_validation_errors(self, make, error, message):
         with pytest.raises(error, match=re.escape(message)):

@@ -250,7 +250,8 @@ class TestDecidedMerge:
                 for b in range(-5, 6):
                     D = Divisor(a, b)
                     decided = _classify(name, rules, E, D, lo)
-                    recorded = _merge(name, E, D, _evaluate_catalog(rules, E, D), rules, lo)
+                    firings = _evaluate_catalog(rules, E, D)
+                    recorded = _merge(name, E, D, firings, lo, trail=lambda: firings)
                     assert _summary(decided) == _summary(recorded), (str(E), a, b)
                     cells += 1
         assert cells == (281 * 5 if min_a == 0 else 281 * 4) * 11
@@ -280,7 +281,7 @@ class TestLazyTrail:
         return calls
 
     def test_classify_builds_no_record_until_firings_is_read(self, monkeypatch):
-        evaluated = self._count(monkeypatch, Rule, "evaluate")
+        recorded = self._count(monkeypatch, Rule, "record")
         screened = self._count(monkeypatch, engine, "_quotient_firings")
         # 2:0,2:1 at a = 2, b = 2: the rank-2 sub-sum 2:0 is the witness
         E = parse_bundle("2:0,2:1")
@@ -292,13 +293,25 @@ class TestLazyTrail:
         ]
         assert classify_ample(E, Divisor(2, 2))
         assert verdicts[0].is_no and verdicts[0].binding_rule == "R-QUOT-NEC"
-        assert (evaluated, screened) == ([], [])
+        assert (recorded, screened) == ([], [])
         trail = verdicts[0].firings
-        assert len(screened) == 1 and evaluated
-        before = len(evaluated)
+        assert len(screened) == 1 and recorded
+        before = len(recorded)
         assert verdicts[0].firings is trail
-        assert len(evaluated) == before and len(screened) == 1
+        assert len(recorded) == before and len(screened) == 1
         assert trail == _evaluate_catalog(VERY_AMPLE_RULES, E, Divisor(2, 2))
+
+    def test_each_row_is_decided_once_per_frame(self, monkeypatch):
+        # Unknown, so the window is read too: 17 rows in each of the two
+        # canonical frames and R-QUOT-NEC once, in the untwisted frame
+        decided = self._count(monkeypatch, Rule, "decide")
+        v = classify_very_ample(parse_bundle("3:2"), Divisor(2, 0))
+        assert v.is_unknown and v.unknown_window.render() == "(0, 4/3]"
+        per_frame = Counter((rule.rule_id, frame.l) for rule, frame in decided)
+        assert set(per_frame.values()) == {1} and len(decided) <= 35
+        before = len(decided)
+        v.firings
+        assert len(decided) == before
 
     def test_verdict_equality_and_repr_leave_the_trail_out(self):
         E, D = parse_bundle("1:2,2:3"), Divisor(2, -2)
@@ -457,20 +470,29 @@ class TestMergeContract:
         )
         with pytest.raises(ContradictionError):
             _merge("very_ample", parse_bundle("2:1"), Divisor(2, 1),
-                   firings, [], lo=(Fraction(0), True))
+                   firings, lo=(Fraction(0), True), trail=lambda: firings)
 
     def test_contradiction_on_decisions_quotes_the_trail(self):
         firings = (
             self._firing("R-SYNTH-A", Strength.SUFFICIENT, Outcome.YES),
             self._firing("R-SYNTH-B", Strength.NECESSARY, Outcome.NO),
         )
-        decisions = [engine._Decision(f.rule_id, f.strength, f.outcome) for f in firings]
         E, D = parse_bundle("2:1"), Divisor(2, 1)
+        frame = canonical_frames(E, D)[0]
+        decisions = [
+            engine._Decision(
+                Rule(f.rule_id, "very_ample", f.citation, "synthetic", "synthetic",
+                     f.strength, lambda fr: True, lambda fr: ()),
+                frame, f.outcome, f.strength, f.comparisons,
+            )
+            for f in firings
+        ]
         with pytest.raises(ContradictionError) as decided:
-            _merge("very_ample", E, D, decisions, [], lo=(Fraction(0), True),
+            _merge("very_ample", E, D, decisions, lo=(Fraction(0), True),
                    trail=lambda: firings)
         with pytest.raises(ContradictionError) as recorded:
-            _merge("very_ample", E, D, firings, [], lo=(Fraction(0), True))
+            _merge("very_ample", E, D, firings, lo=(Fraction(0), True),
+                   trail=lambda: firings)
         assert str(decided.value) == str(recorded.value)
         assert "R-SYNTH-A concludes yes (synthetic)" in str(decided.value)
 
@@ -480,7 +502,7 @@ class TestMergeContract:
             self._firing("R-SYNTH-A", Strength.SUFFICIENT, Outcome.YES),
         )
         v = _merge("very_ample", parse_bundle("2:1"), Divisor(2, 1),
-                   firings, [], lo=(Fraction(0), True))
+                   firings, lo=(Fraction(0), True), trail=lambda: firings)
         assert v.binding_rule == "R-SYNTH-Z"
         assert v.strength is Strength.IFF
 
