@@ -49,6 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from ._frozen import validated_make
 from .atiyah import pushforward_mu_minus
 from .bundles import Bundle
 from .errors import ContradictionError, DomainError
@@ -82,11 +83,26 @@ __all__ = [
 ]
 
 
-class Divisor(NamedTuple):
-    """The numerical divisor class aT + bf on P(E)."""
-
+class _DivisorFields(NamedTuple):
     a: int
     b: int
+
+
+class Divisor(_DivisorFields):
+    """The numerical divisor class aT + bf on P(E).  The numerical classes
+    of P(E) are ZT + Zf, so a and b are integers: any other value, a bool
+    included, raises DomainError."""
+
+    __slots__ = ()
+    _make = classmethod(validated_make)
+
+    def __new__(cls, a: int, b: int) -> "Divisor":
+        for name, value in (("a", a), ("b", b)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(
+                    f"divisor coefficient {name} must be an integer, got {value!r}"
+                )
+        return tuple.__new__(cls, (a, b))
 
     def __str__(self) -> str:
         return f"{self.a}T{self.b:+d}f"

@@ -13,16 +13,22 @@ not depend on the frame.  A guard that fails makes the rule inapplicable
 necessary condition forces No; a failed sufficient condition forces
 nothing.
 
-Strength is data on the row.  `strength` is iff, sufficient or necessary;
-a branching row (R-RK3-INDEC, R-RK3-DEC, R-R4D3) is iff except in the
-frames where its `sufficient_when` predicate holds, where it is only
-sufficient.  Everything else the engine needs is derived from these two
-fields: the strength a row decides in a frame (`Rule.decide`), the label
-`veryample rules` prints, the rows that screen the quotient scrolls for
-R-QUOT-NEC (every row that is not sufficient), and the upper end of an
+A row is a guard and its cases.  Each case has a label, a condition, a
+strength (iff, sufficient or necessary) and its comparisons, written once
+as text such as "b + a/2 > 2".  In a frame where the guard holds, the first
+case whose condition holds decides the row (`Rule.decide`).  Each text is
+parsed once, when the catalog is built: its left-hand side names an entry
+of `_LHS`, one function of the frame per label, each affine in (a, b), and
+its right-hand side is a number or an entry of `_RHS`, the three that
+depend on the rank.  Everything else is derived from the cases: the row's
+strength (its first case's), the label and condition text `veryample
+rules` prints, the rows that screen the quotient scrolls for R-QUOT-NEC
+(every row whose strength is not sufficient), and the upper end of an
 Unknown window, which the engine reads off each applicable sufficient row
 whose only comparison is on s (`S_LABEL`): `s > t` leaves (.., t] open and
-`s >= t` leaves (.., t) open.
+`s >= t` leaves (.., t) open.  Two rows are not plain text: R-A1-DEC
+compares every summand, so its one case keeps a function, and R-QUOT-NEC
+is decided by the engine's quotient screen (`special="quotient"`).
 
 Only rows that can bind are kept.  A sufficient row implied by another
 under the same guard (s >= 3 by R-BUTLER's s > 2), or a necessary row whose
@@ -30,7 +36,7 @@ every comparison R-QUOT-NEC makes on a single atom (the split rank-3
 thresholds), never changes a verdict, a window or a binding rule.
 
 Decision and record are separate: `Rule.decide` decides a row in a frame
-(guard, strength there, comparisons) without building anything, and
+(guard, deciding case, comparisons) without building anything, and
 `Rule.record` keeps a decision as a RuleFiring that holds the comparisons;
 their text is rendered only when the trail is read.  `Rule.evaluate` is the
 two in one.  The engine decides each row once per frame, merges on the
@@ -49,6 +55,7 @@ from .bundles import Bundle
 from .verdicts import Comparison, Outcome, RuleFiring, Strength
 
 __all__ = [
+    "Case",
     "Frame",
     "Rule",
     "VERY_AMPLE_RULES",
@@ -123,41 +130,66 @@ _OUTCOMES = {
 }
 
 
+class Case(NamedTuple):
+    """One case of a row: where it holds (`when`, None for every frame
+    left), the strength it decides with there, and its comparisons, as
+    written (`text`) and as evaluated in a frame (`comparisons`)."""
+
+    label: str
+    when: Optional[Callable[[Frame], bool]]
+    strength: Strength
+    text: str
+    comparisons: Callable[[Frame], tuple[Comparison, ...]]
+
+
 class Rule(NamedTuple):
-    """One catalog row.  strength is the row's strength wherever it applies,
-    except that a branching row drops to sufficient in the frames where
-    sufficient_when holds."""
+    """One catalog row: a guard (`applies`, described by `scope`) and the
+    cases that decide it where the guard holds."""
 
     rule_id: str
     property_name: str
     citation: str
     scope: str
-    statement: str
-    strength: Strength
     applies: Callable[[Frame], bool]
-    comparisons: Callable[[Frame], tuple[Comparison, ...]]
-    sufficient_when: Optional[Callable[[Frame], bool]] = None
+    cases: tuple[Case, ...]
     special: Optional[str] = None
 
     @property
+    def strength(self) -> Strength:
+        """The first case's strength; a later case may only weaken it."""
+        return self.cases[0].strength
+
+    @property
     def strength_label(self) -> str:
-        if self.sufficient_when is None:
-            return self.strength.value
-        return f"{self.strength.value} / sufficient"
+        return " / ".join(dict.fromkeys(c.strength.value for c in self.cases))
+
+    @property
+    def statement(self) -> str:
+        """Each case's label, its strength where the row branches, and its
+        comparisons; the cases joined by "; "."""
+        branching = len({c.strength for c in self.cases}) > 1
+        return "; ".join(
+            " ".join(filter(None, (
+                c.label and f"{c.label}:",
+                c.strength.value if branching else "",
+                c.text,
+            )))
+            for c in self.cases
+        )
 
     def decide(
         self, frame: Frame
     ) -> tuple[Outcome, Optional[Strength], tuple[Comparison, ...]]:
         """(outcome, strength, comparisons) of the row in frame: the guard,
-        then the strength there, then the comparisons.  Nothing is built
-        or rendered; strength is None when the guard fails."""
+        then the first case that holds, then its comparisons.  Nothing is
+        built or rendered; strength is None when the guard fails."""
         if not self.applies(frame):
             return Outcome.INAPPLICABLE, None, ()
-        strength = self.strength
-        if self.sufficient_when is not None and self.sufficient_when(frame):
-            strength = Strength.SUFFICIENT
-        comps = self.comparisons(frame)
-        return _OUTCOMES[strength][all(c.holds for c in comps)], strength, comps
+        for case in self.cases:
+            if case.when is None or case.when(frame):
+                break
+        comps = case.comparisons(frame)
+        return _OUTCOMES[case.strength][all(c.holds for c in comps)], case.strength, comps
 
     def record(
         self, frame: Frame, outcome: Outcome, strength: Optional[Strength],
@@ -183,102 +215,79 @@ class Rule(NamedTuple):
         return self.record(frame, *self.decide(frame))
 
 
-# -- comparison builders ----------------------------------------------------
-
-def _cmp(label: str, lhs, op: str, rhs) -> Comparison:
-    return Comparison(label, Fraction(lhs), op, Fraction(rhs))
-
+# -- comparisons as data ------------------------------------------------------
 
 # The label of every comparison on s; the engine reads the upper end of an
 # Unknown window off the sufficient decisions that compare nothing else.
 S_LABEL = "b + a*mu^-(E)"
 
+# Every left-hand side a comparison may name, by its label.
+_LHS: dict[str, Callable[[Frame], Fraction]] = {
+    "a": lambda fr: Fraction(fr.a),
+    S_LABEL: lambda fr: fr.s,
+    "b + mu^-(E)": lambda fr: fr.b + fr.mu_minus,
+    "b + mu(E)": lambda fr: fr.b + fr.mu,
+    "b + a*mu(E)": lambda fr: fr.b + fr.a * fr.mu,
+    "b + (a-1)*mu^-(E)": lambda fr: fr.b + (fr.a - 1) * fr.mu_minus,
+    "b + (a-1)*mu(E)": lambda fr: fr.b + (fr.a - 1) * fr.mu,
+    "b + a": lambda fr: Fraction(fr.b + fr.a),
+    "b + a/2": lambda fr: fr.b + Fraction(fr.a, 2),
+    "b + a/3": lambda fr: fr.b + Fraction(fr.a, 3),
+    "b + 2a/r": lambda fr: fr.b + Fraction(2 * fr.a, fr.rank),
+    "b + a/(r-2)": lambda fr: fr.b + Fraction(fr.a, fr.rank - 2),
+    "b + a/(d-1)": lambda fr: fr.b + Fraction(fr.a, fr.deg - 1),
+}
 
-def _s_cmp(fr: Frame, op: str, rhs) -> Comparison:
-    return _cmp(S_LABEL, fr.s, op, rhs)
+# The right-hand sides that depend on the rank r; every other one is a number.
+_RHS: dict[str, Callable[[int], Fraction]] = {
+    "1 + 1/r": lambda r: 1 + Fraction(1, r),
+    "1 + 2/r": lambda r: 1 + Fraction(2, r),
+    "1 + 2/(r-1)": lambda r: 1 + Fraction(2, r - 1),
+}
 
 
-# -- individual rows ---------------------------------------------------------
+class _Parsed(tuple):
+    """A case's comparisons, each parsed once into (label, lhs, op, rhs);
+    called on a frame, it evaluates them there."""
+
+    __slots__ = ()
+
+    def __call__(self, fr: Frame) -> tuple[Comparison, ...]:
+        return tuple([
+            Comparison(label, lhs(fr), op, rhs if rhs.__class__ is Fraction else rhs(fr.rank))
+            for label, lhs, op, rhs in self
+        ])
+
+
+def _parse(text: str) -> tuple:
+    op = ">=" if " >= " in text else ">"
+    label, rhs = text.split(f" {op} ")
+    return label, _LHS[label], op, _RHS[rhs] if rhs in _RHS else Fraction(rhs)
+
+
+def _case(
+    label: str, when: Optional[Callable[[Frame], bool]], strength: Strength, text: str
+) -> Case:
+    """A case whose comparisons are `text`: inequalities joined by " and "."""
+    return Case(label, when, strength, text, _Parsed(map(_parse, text.split(" and "))))
+
+
+def _only(strength: Strength, text: str) -> tuple[Case, ...]:
+    """The one case of a row that does not branch."""
+    return (_case("", None, strength, text),)
+
 
 def _a1_dec_comps(fr: Frame) -> tuple[Comparison, ...]:
-    comps = []
-    for atom in fr.bundle.atoms:
-        need = 3 if atom.degree % atom.rank == 0 else 2
-        comps.append(_cmp(f"b + mu({atom})", fr.b + atom.slope, ">=", need))
-    return tuple(comps)
-
-
-def _rk3_indec_comps(fr: Frame) -> tuple[Comparison, ...]:
-    m = fr.deg % 3
-    if m == 0:
-        return (_s_cmp(fr, ">=", 3),)
-    if m == 1:
-        return (_s_cmp(fr, ">", 1),)
-    return (_s_cmp(fr, ">", Fraction(4, 3)),)
-
-
-def _r4d3_applies(fr: Frame) -> bool:
-    if not (fr.a >= 2 and fr.rank == 4 and fr.deg == 3):
-        return False
-    if fr.indec:
-        return fr.s > Fraction(3, 4)
-    return fr.ample and fr.b + Fraction(fr.a, 3) > Fraction(1, 3)
-
-
-def _r4d3_comps(fr: Frame) -> tuple[Comparison, ...]:
-    if fr.indec:
-        return (_cmp("b + a", fr.b + fr.a, ">=", 3),)
-    return (_cmp("b + a/2", fr.b + Fraction(fr.a, 2), ">", 2),)
-
-
-def _d2_indec_comps(fr: Frame) -> tuple[Comparison, ...]:
-    half = _cmp("b + a/2", fr.b + Fraction(fr.a, 2), ">", 2)
-    if fr.rank == 4:
-        return (half,)
-    r = fr.rank
-    return (
-        half,
-        _cmp("b + a/3", fr.b + Fraction(fr.a, 3), ">", Fraction(1, 3)),
-        _cmp("b + 2a/r", fr.b + Fraction(2 * fr.a, r), ">", 1 + Fraction(1, r)),
+    return tuple(
+        Comparison(
+            f"b + mu({atom})", fr.b + atom.slope, ">=",
+            Fraction(3 if atom.degree % atom.rank == 0 else 2),
+        )
+        for atom in fr.bundle.atoms
     )
 
 
-def _d2_dec_comps(fr: Frame) -> tuple[Comparison, ...]:
-    half = _cmp("b + a/2", fr.b + Fraction(fr.a, 2), ">", 2)
-    if fr.rank == 4:
-        return (half, _s_cmp(fr, ">", Fraction(3, 2)))
-    r = fr.rank
-    return (
-        _s_cmp(fr, ">", 1 + Fraction(2, r)),
-        _cmp("b + a/3", fr.b + Fraction(fr.a, 3), ">", Fraction(1, 3)),
-        half,
-    )
-
-
-def _d1_indec_comps(fr: Frame) -> tuple[Comparison, ...]:
-    half = _cmp("b + a/2", fr.b + Fraction(fr.a, 2), ">", 2)
-    r = fr.rank
-    if r == 4:
-        return (half,)
-    if r == 5:
-        return (_cmp("b + a/3", fr.b + Fraction(fr.a, 3), ">", Fraction(3, 2)), half)
-    return (
-        _cmp(
-            "b + a/(r-2)",
-            fr.b + Fraction(fr.a, r - 2),
-            ">",
-            1 + Fraction(2, r - 1),
-        ),
-        half,
-    )
-
-
-def _dge4_comps(fr: Frame) -> tuple[Comparison, ...]:
-    return (
-        _cmp("b + a/(d-1)", fr.b + Fraction(fr.a, fr.deg - 1), ">", 2),
-        _cmp("b + (a-1)*mu^-(E)", fr.b + (fr.a - 1) * fr.mu_minus, ">", 0),
-    )
-
+# -- the catalog --------------------------------------------------------------
 
 VERY_AMPLE_RULES: tuple[Rule, ...] = (
     Rule(
@@ -286,56 +295,43 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         property_name="very_ample",
         citation="restriction to any fiber is O(a) on projective space",
         scope="every divisor",
-        statement="a >= 1",
         applies=lambda fr: True,
-        strength=Strength.NECESSARY,
-        comparisons=lambda fr: (_cmp("a", fr.a, ">=", 1),),
+        cases=_only(Strength.NECESSARY, "a >= 1"),
     ),
     Rule(
         rule_id="R-MIYAOKA",
         property_name="very_ample",
         citation="Miyaoka's ampleness criterion via the pushforward slope",
         scope="every divisor",
-        statement="a >= 1 and b + a*mu^-(E) > 0",
         applies=lambda fr: True,
-        strength=Strength.NECESSARY,
-        comparisons=lambda fr: (_cmp("a", fr.a, ">=", 1), _s_cmp(fr, ">", 0)),
+        cases=_only(Strength.NECESSARY, "a >= 1 and b + a*mu^-(E) > 0"),
     ),
     Rule(
         rule_id="R-BUTLER",
         property_name="very_ample",
         citation="Butler's bound on a genus-one base",
         scope="a >= 1",
-        statement="b + a*mu^-(E) > 2",
         applies=lambda fr: fr.a >= 1,
-        strength=Strength.SUFFICIENT,
-        comparisons=lambda fr: (_s_cmp(fr, ">", 2),),
+        cases=_only(Strength.SUFFICIENT, "b + a*mu^-(E) > 2"),
     ),
     Rule(
         rule_id="R-D0MODR",
         property_name="very_ample",
         citation="Gushel's criterion for twists of degree-zero bundles",
         scope="a >= 1, indecomposable, deg = 0 (mod rank)",
-        statement="b + a*mu(E) >= 3",
         applies=lambda fr: fr.a >= 1 and fr.indec and fr.deg % fr.rank == 0,
-        strength=Strength.IFF,
-        comparisons=lambda fr: (_cmp("b + a*mu(E)", fr.b + fr.a * fr.mu, ">=", 3),),
+        cases=_only(Strength.IFF, "b + a*mu(E) >= 3"),
     ),
     Rule(
         rule_id="R-A1-INDEC",
         property_name="very_ample",
         citation="Gushel's classification for a = 1",
         scope="a = 1, indecomposable",
-        statement="b + mu(E) >= 3 when deg = 0 (mod rank), else b + mu(E) >= 2",
         applies=lambda fr: fr.a == 1 and fr.indec,
-        strength=Strength.IFF,
-        comparisons=lambda fr: (
-            _cmp(
-                "b + mu(E)",
-                fr.b + fr.mu,
-                ">=",
-                3 if fr.deg % fr.rank == 0 else 2,
-            ),
+        cases=(
+            _case("deg = 0 (mod rank)", lambda fr: fr.deg % fr.rank == 0,
+                  Strength.IFF, "b + mu(E) >= 3"),
+            _case("otherwise", None, Strength.IFF, "b + mu(E) >= 2"),
         ),
     ),
     Rule(
@@ -343,21 +339,22 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         property_name="very_ample",
         citation="Gushel's classification for a = 1, summand by summand",
         scope="a = 1, decomposable",
-        statement="every summand: b + mu(E_j) >= 3 when deg = 0 (mod rank), else >= 2",
         applies=lambda fr: fr.a == 1 and not fr.indec,
-        strength=Strength.IFF,
-        comparisons=_a1_dec_comps,
+        cases=(
+            Case("every summand", None, Strength.IFF,
+                 "b + mu(E_j) >= 3 when deg = 0 (mod rank), else >= 2", _a1_dec_comps),
+        ),
     ),
     Rule(
         rule_id="R-RK2-INDEC",
         property_name="very_ample",
         citation="Biancofiore-Livorni thresholds for elliptic ruled surfaces",
         scope="a >= 2, rank 2, indecomposable",
-        statement="deg even: b + a*mu^-(E) >= 3; deg odd: b + a*mu^-(E) > 1",
         applies=lambda fr: fr.a >= 2 and fr.rank == 2 and fr.indec,
-        strength=Strength.IFF,
-        comparisons=lambda fr: (
-            _s_cmp(fr, ">=", 3) if fr.deg % 2 == 0 else _s_cmp(fr, ">", 1),
+        cases=(
+            _case("deg even", lambda fr: fr.deg % 2 == 0,
+                  Strength.IFF, "b + a*mu^-(E) >= 3"),
+            _case("deg odd", None, Strength.IFF, "b + a*mu^-(E) > 1"),
         ),
     ),
     Rule(
@@ -365,36 +362,36 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         property_name="very_ample",
         citation="rank-2 split threshold via unisecant sections",
         scope="a >= 2, rank 2, decomposable",
-        statement="b + a*mu^-(E) >= 3",
         applies=lambda fr: fr.a >= 2 and fr.rank == 2 and not fr.indec,
-        strength=Strength.IFF,
-        comparisons=lambda fr: (_s_cmp(fr, ">=", 3),),
+        cases=_only(Strength.IFF, "b + a*mu^-(E) >= 3"),
     ),
     Rule(
         rule_id="R-RK3-INDEC",
         property_name="very_ample",
         citation="rank-3 indecomposable thresholds by degree class mod 3",
         scope="a >= 2, rank 3, indecomposable",
-        statement=(
-            "deg = 0 (mod 3): iff b + a*mu^-(E) >= 3; "
-            "deg = 1: sufficient b + a*mu^-(E) > 1; "
-            "deg = 2: sufficient b + a*mu^-(E) > 4/3"
-        ),
         applies=lambda fr: fr.a >= 2 and fr.rank == 3 and fr.indec,
-        strength=Strength.IFF,
-        comparisons=_rk3_indec_comps,
-        sufficient_when=lambda fr: fr.deg % 3 != 0,
+        cases=(
+            _case("deg = 0 (mod 3)", lambda fr: fr.deg % 3 == 0,
+                  Strength.IFF, "b + a*mu^-(E) >= 3"),
+            _case("deg = 1", lambda fr: fr.deg % 3 == 1,
+                  Strength.SUFFICIENT, "b + a*mu^-(E) > 1"),
+            _case("deg = 2", None, Strength.SUFFICIENT, "b + a*mu^-(E) > 4/3"),
+        ),
     ),
     Rule(
         rule_id="R-RK3-DEC",
         property_name="very_ample",
         citation="rank-3 split classification",
         scope="a >= 2, rank 3, decomposable",
-        statement="b + a*mu^-(E) >= 3 (iff outside the exceptional family)",
         applies=lambda fr: fr.a >= 2 and fr.rank == 3 and not fr.indec,
-        strength=Strength.IFF,
-        comparisons=lambda fr: (_s_cmp(fr, ">=", 3),),
-        sufficient_when=lambda fr: rank3_exception(fr.bundle),
+        cases=(
+            _case("outside the exceptional family",
+                  lambda fr: not rank3_exception(fr.bundle),
+                  Strength.IFF, "b + a*mu^-(E) >= 3"),
+            _case("line L + odd rank-2 G with deg L > deg G/2", None,
+                  Strength.SUFFICIENT, "b + a*mu^-(E) >= 3"),
+        ),
     ),
     Rule(
         rule_id="R-R4D3",
@@ -404,122 +401,102 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
             "a >= 2, rank 4, frame degree 3; indecomposable needs "
             "b + a*mu(E) > 3/4, decomposable needs E ample and b + a/3 > 1/3"
         ),
-        statement=(
-            "indecomposable: iff b + a >= 3; decomposable: sufficient b + a/2 > 2"
+        applies=lambda fr: fr.a >= 2 and fr.rank == 4 and fr.deg == 3 and (
+            fr.s > Fraction(3, 4) if fr.indec
+            else fr.ample and fr.b + Fraction(fr.a, 3) > Fraction(1, 3)
         ),
-        applies=_r4d3_applies,
-        strength=Strength.IFF,
-        comparisons=_r4d3_comps,
-        sufficient_when=lambda fr: not fr.indec,
+        cases=(
+            _case("indecomposable", lambda fr: fr.indec, Strength.IFF, "b + a >= 3"),
+            _case("decomposable", None, Strength.SUFFICIENT, "b + a/2 > 2"),
+        ),
     ),
     Rule(
         rule_id="R-D3ANYR",
         property_name="very_ample",
         citation="degree-3 induction bound, any rank >= 4",
         scope="a >= 2, rank >= 4, frame degree 3, E ample, b + a*mu^-(E) > 3/5",
-        statement="b + a/2 > 2 and b + a/3 > 1/3",
-        applies=lambda fr: fr.a >= 2
-        and fr.rank >= 4
-        and fr.deg == 3
-        and fr.ample
-        and fr.s > Fraction(3, 5),
-        strength=Strength.SUFFICIENT,
-        comparisons=lambda fr: (
-            _cmp("b + a/2", fr.b + Fraction(fr.a, 2), ">", 2),
-            _cmp("b + a/3", fr.b + Fraction(fr.a, 3), ">", Fraction(1, 3)),
+        applies=lambda fr: (
+            fr.a >= 2 and fr.rank >= 4 and fr.deg == 3 and fr.ample and fr.s > Fraction(3, 5)
         ),
+        cases=_only(Strength.SUFFICIENT, "b + a/2 > 2 and b + a/3 > 1/3"),
     ),
     Rule(
         rule_id="R-D2-INDEC",
         property_name="very_ample",
         citation="degree-2 indecomposable induction bound",
         scope="a >= 2, rank >= 4, frame degree 2, indecomposable",
-        statement=(
-            "rank 4: b + a/2 > 2; rank >= 5: b + a/2 > 2 and b + a/3 > 1/3 "
-            "and b + 2a/r > 1 + 1/r"
-        ),
         applies=lambda fr: fr.a >= 2 and fr.rank >= 4 and fr.deg == 2 and fr.indec,
-        strength=Strength.SUFFICIENT,
-        comparisons=_d2_indec_comps,
+        cases=(
+            _case("rank 4", lambda fr: fr.rank == 4, Strength.SUFFICIENT, "b + a/2 > 2"),
+            _case("rank >= 5", None, Strength.SUFFICIENT,
+                  "b + a/2 > 2 and b + a/3 > 1/3 and b + 2a/r > 1 + 1/r"),
+        ),
     ),
     Rule(
         rule_id="R-D2-DEC",
         property_name="very_ample",
         citation="degree-2 split induction bound",
         scope="a >= 2, rank >= 4, frame degree 2, decomposable, E ample",
-        statement=(
-            "rank 4: b + a/2 > 2 and b + a*mu^-(E) > 3/2; "
-            "rank >= 5: b + a*mu^-(E) > 1 + 2/r and b + a/3 > 1/3 and b + a/2 > 2"
+        applies=lambda fr: (
+            fr.a >= 2 and fr.rank >= 4 and fr.deg == 2 and not fr.indec and fr.ample
         ),
-        applies=lambda fr: fr.a >= 2
-        and fr.rank >= 4
-        and fr.deg == 2
-        and not fr.indec
-        and fr.ample,
-        strength=Strength.SUFFICIENT,
-        comparisons=_d2_dec_comps,
+        cases=(
+            _case("rank 4", lambda fr: fr.rank == 4, Strength.SUFFICIENT,
+                  "b + a/2 > 2 and b + a*mu^-(E) > 3/2"),
+            _case("rank >= 5", None, Strength.SUFFICIENT,
+                  "b + a*mu^-(E) > 1 + 2/r and b + a/3 > 1/3 and b + a/2 > 2"),
+        ),
     ),
     Rule(
         rule_id="R-D1-INDEC",
         property_name="very_ample",
         citation="degree-1 indecomposable induction bound",
         scope="a >= 2, rank >= 4, frame degree 1, indecomposable, b + a/r > 1",
-        statement=(
-            "rank 4: b + a/2 > 2; rank 5: b + a/3 > 3/2 and b + a/2 > 2; "
-            "rank >= 6: b + a/(r-2) > 1 + 2/(r-1) and b + a/2 > 2"
+        applies=lambda fr: (
+            fr.a >= 2 and fr.rank >= 4 and fr.deg == 1 and fr.indec
+            and fr.b + Fraction(fr.a, fr.rank) > 1
         ),
-        applies=lambda fr: fr.a >= 2
-        and fr.rank >= 4
-        and fr.deg == 1
-        and fr.indec
-        and fr.b + Fraction(fr.a, fr.rank) > 1,
-        strength=Strength.SUFFICIENT,
-        comparisons=_d1_indec_comps,
+        cases=(
+            _case("rank 4", lambda fr: fr.rank == 4, Strength.SUFFICIENT, "b + a/2 > 2"),
+            _case("rank 5", lambda fr: fr.rank == 5, Strength.SUFFICIENT,
+                  "b + a/3 > 3/2 and b + a/2 > 2"),
+            _case("rank >= 6", None, Strength.SUFFICIENT,
+                  "b + a/(r-2) > 1 + 2/(r-1) and b + a/2 > 2"),
+        ),
     ),
     Rule(
         rule_id="R-DGE4",
         property_name="very_ample",
         citation="mid-degree induction bound, 4 <= deg < rank",
         scope="a >= 2, 4 <= frame degree < rank, E ample",
-        statement="b + a/(d-1) > 2 and b + (a-1)*mu^-(E) > 0",
         applies=lambda fr: fr.a >= 2 and 4 <= fr.deg < fr.rank and fr.ample,
-        strength=Strength.SUFFICIENT,
-        comparisons=_dge4_comps,
+        cases=_only(Strength.SUFFICIENT, "b + a/(d-1) > 2 and b + (a-1)*mu^-(E) > 0"),
     ),
     Rule(
         rule_id="R-RD1",
         property_name="very_ample",
         citation="corank-one bound, rank = degree + 1",
         scope="a >= 2, indecomposable, frame degree >= 4, rank = degree + 1",
-        statement="b + (a-1)*mu(E) > 0 and b + a > 2",
-        applies=lambda fr: fr.a >= 2
-        and fr.indec
-        and fr.deg >= 4
-        and fr.rank == fr.deg + 1,
-        strength=Strength.SUFFICIENT,
-        comparisons=lambda fr: (
-            _cmp(
-                "b + (a-1)*mu(E)",
-                fr.b + (fr.a - 1) * fr.mu,
-                ">",
-                0,
-            ),
-            _cmp("b + a", fr.b + fr.a, ">", 2),
+        applies=lambda fr: (
+            fr.a >= 2 and fr.indec and fr.deg >= 4 and fr.rank == fr.deg + 1
         ),
+        cases=_only(Strength.SUFFICIENT, "b + (a-1)*mu(E) > 0 and b + a > 2"),
     ),
     Rule(
         rule_id="R-QUOT-NEC",
         property_name="very_ample",
         citation="necessity via restriction to quotient scrolls P(Q)",
         scope="a >= 1, decomposable",
-        statement=(
-            "every proper summand sub-sum Q: the restriction to P(Q) admits "
-            "no negative rule (rank-1 Q: b + a*deg(Q) >= 3); screened on the "
-            "Q that can fail first: the lowest line and each non-line atom"
-        ),
         applies=lambda fr: fr.a >= 1 and not fr.indec,
-        strength=Strength.NECESSARY,
-        comparisons=lambda fr: (),
+        cases=(
+            Case(
+                "every proper summand sub-sum Q", None, Strength.NECESSARY,
+                "the restriction to P(Q) admits no negative rule (rank-1 Q: "
+                "b + a*deg(Q) >= 3); screened on the Q that can fail first: "
+                "the lowest line and each non-line atom",
+                lambda fr: (),
+            ),
+        ),
         special="quotient",
     ),
 )
@@ -531,10 +508,8 @@ AMPLE_RULES: tuple[Rule, ...] = (
         property_name="ample",
         citation="Miyaoka's ampleness criterion via the pushforward slope",
         scope="every divisor",
-        statement="a >= 1 and b + a*mu^-(E) > 0",
         applies=lambda fr: True,
-        strength=Strength.IFF,
-        comparisons=lambda fr: (_cmp("a", fr.a, ">=", 1), _s_cmp(fr, ">", 0)),
+        cases=_only(Strength.IFF, "a >= 1 and b + a*mu^-(E) > 0"),
     ),
 )
 
@@ -545,22 +520,16 @@ GLOBALLY_GENERATED_RULES: tuple[Rule, ...] = (
         property_name="globally_generated",
         citation="Gushel's global generation equivalence for a = 1",
         scope="a = 1",
-        statement="b + mu^-(E) > 1",
         applies=lambda fr: fr.a == 1,
-        strength=Strength.IFF,
-        comparisons=lambda fr: (
-            _cmp("b + mu^-(E)", fr.b + fr.mu_minus, ">", 1),
-        ),
+        cases=_only(Strength.IFF, "b + mu^-(E) > 1"),
     ),
     Rule(
         rule_id="R-GG-SLOPE",
         property_name="globally_generated",
         citation="global generation from the pushforward slope",
         scope="a >= 1",
-        statement="b + a*mu^-(E) > 1",
         applies=lambda fr: fr.a >= 1,
-        strength=Strength.SUFFICIENT,
-        comparisons=lambda fr: (_s_cmp(fr, ">", 1),),
+        cases=_only(Strength.SUFFICIENT, "b + a*mu^-(E) > 1"),
     ),
 )
 
@@ -571,10 +540,8 @@ NORMALLY_GENERATED_RULES: tuple[Rule, ...] = (
         property_name="normally_generated",
         citation="Butler's normal generation bound on a genus-one base",
         scope="a >= 1",
-        statement="b + a*mu^-(E) > 2",
         applies=lambda fr: fr.a >= 1,
-        strength=Strength.SUFFICIENT,
-        comparisons=lambda fr: (_s_cmp(fr, ">", 2),),
+        cases=_only(Strength.SUFFICIENT, "b + a*mu^-(E) > 2"),
     ),
 )
 

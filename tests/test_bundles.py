@@ -34,6 +34,8 @@ from veryample import (
     parse_bundle,
 )
 
+from veryample.rules import Case
+
 from conftest import bundles, small_bundles
 
 
@@ -220,13 +222,13 @@ VALUES = [
         "Frame(l=0, bundle=Bundle(atoms=(IndecBundle(rank=2, degree=1),)), a=2, b=-1)",
     ),
     (
-        lambda: Rule("R-X", "very_ample", "c", "every divisor", "a >= 1",
-                     Strength.IFF, _always, _no_comparisons),
+        lambda: Rule("R-X", "very_ample", "c", "every divisor", _always,
+                     (Case("", None, Strength.IFF, "a >= 1", _no_comparisons),)),
         "rule_id",
         "Rule(rule_id='R-X', property_name='very_ample', citation='c', "
-        "scope='every divisor', statement='a >= 1', strength=<Strength.IFF: 'iff'>, "
-        f"applies={_always!r}, comparisons={_no_comparisons!r}, "
-        "sufficient_when=None, special=None)",
+        f"scope='every divisor', applies={_always!r}, cases=(Case(label='', "
+        "when=None, strength=<Strength.IFF: 'iff'>, text='a >= 1', "
+        f"comparisons={_no_comparisons!r}),), special=None)",
     ),
     (
         lambda: Comparison("s", Fraction(1), ">=", Fraction(3)),
@@ -313,12 +315,38 @@ class TestValueTypes:
                 ValueError,
                 "comparison operator must be > or >=, got '<'",
             ),
+            (lambda: Divisor(2, 0.5), DomainError,
+             "divisor coefficient b must be an integer, got 0.5"),
+            (lambda: Divisor(True, 3), DomainError,
+             "divisor coefficient a must be an integer, got True"),
+            (lambda: Divisor._make((2, Fraction(1, 2))), DomainError,
+             "divisor coefficient b must be an integer, got Fraction(1, 2)"),
+            (lambda: Divisor(2, 1)._replace(a=2.0), DomainError,
+             "divisor coefficient a must be an integer, got 2.0"),
         ],
         ids=["IndecBundle", "IndecBundle-keywords", "Bundle-atom", "Bundle-empty",
              "FBundle", "SplitDegrees", "NumClass", "Comparison",
              "IndecBundle-make", "IndecBundle-replace", "FBundle-make",
-             "SplitDegrees-replace", "NumClass-make", "Comparison-replace"],
+             "SplitDegrees-replace", "NumClass-make", "Comparison-replace",
+             "Divisor-float", "Divisor-bool", "Divisor-make", "Divisor-replace"],
     )
     def test_validation_errors(self, make, error, message):
         with pytest.raises(error, match=re.escape(message)):
             make()
+
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        st.one_of(
+            st.fractions().filter(lambda q: q.denominator != 1),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.booleans(),
+        ),
+        st.integers(-8, 8),
+        st.booleans(),
+    )
+    def test_divisor_refuses_every_non_integer(self, bad, other, bad_is_a):
+        # the numerical classes of P(E) are ZT + Zf; an integral float or
+        # Fraction is refused too, as it is not an int
+        args = (bad, other) if bad_is_a else (other, bad)
+        with pytest.raises(DomainError, match="must be an integer"):
+            Divisor(*args)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -374,6 +375,19 @@ class TestRules:
         d0 = next(e for e in payload if e["rule_id"] == "R-D0MODR")
         assert ">= 3" in d0["condition"]
         assert d0["strength"] == "iff"
+
+    # sha256 of `veryample rules` in each format, byte for byte: a change to
+    # any row's guard, condition, strength or citation text shows here
+    RULES_DIGESTS = {
+        "text": "64522209de7982caa86097e542561e0ef84df9d99cf26158880baada0c70f1b0",
+        "json": "ed699d812c1744e046667f4f608029231d5a064be6c91fd5599317b5b399a81f",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(RULES_DIGESTS))
+    def test_output_is_pinned(self, capsys, fmt):
+        code, out, _ = run(capsys, "rules", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.RULES_DIGESTS[fmt]
 
 
 def test_import_leaves_the_process_pool_out():

@@ -37,6 +37,7 @@ from veryample.rules import (
     GLOBALLY_GENERATED_RULES,
     NORMALLY_GENERATED_RULES,
     VERY_AMPLE_RULES,
+    Case,
     Frame,
     Rule,
 )
@@ -124,6 +125,14 @@ class TestWorkedVerdicts:
     def test_rank_one_is_rejected(self):
         with pytest.raises(DomainError):
             va("1:5", 2, 0)
+
+    def test_a_non_integer_b_is_refused(self):
+        # at s = 17/8 R-BUTLER would say yes and R-D0MODR no: the catalog
+        # speaks about integer b only, so the divisor is refused first
+        with pytest.raises(DomainError, match="must be an integer"):
+            classify_very_ample(parse_bundle("2:-2"), Divisor(2, Fraction(33, 8)))
+        with pytest.raises(DomainError, match="must be an integer"):
+            classify_very_ample(parse_bundle("2:1"), Divisor(2, 0.5))
 
 
 class TestFiringTrail:
@@ -481,8 +490,8 @@ class TestMergeContract:
         frame = canonical_frames(E, D)[0]
         decisions = [
             engine._Decision(
-                Rule(f.rule_id, "very_ample", f.citation, "synthetic", "synthetic",
-                     f.strength, lambda fr: True, lambda fr: ()),
+                Rule(f.rule_id, "very_ample", f.citation, "synthetic", lambda fr: True,
+                     (Case("", None, f.strength, "synthetic", lambda fr: ()),)),
                 frame, f.outcome, f.strength, f.comparisons,
             )
             for f in firings
