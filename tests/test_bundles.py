@@ -33,7 +33,6 @@ from veryample import (
     Window,
     parse_bundle,
 )
-
 from veryample.rules import Case
 
 from conftest import bundles, small_bundles

@@ -131,8 +131,6 @@ class TestWorkedVerdicts:
         # speaks about integer b only, so the divisor is refused first
         with pytest.raises(DomainError, match="must be an integer"):
             classify_very_ample(parse_bundle("2:-2"), Divisor(2, Fraction(33, 8)))
-        with pytest.raises(DomainError, match="must be an integer"):
-            classify_very_ample(parse_bundle("2:1"), Divisor(2, 0.5))
 
 
 class TestFiringTrail:
