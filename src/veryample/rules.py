@@ -13,22 +13,29 @@ not depend on the frame.  A guard that fails makes the rule inapplicable
 necessary condition forces No; a failed sufficient condition forces
 nothing.
 
-A row is a guard and its cases.  Each case has a label, a condition, a
-strength (iff, sufficient or necessary) and its comparisons, written once
-as text such as "b + a/2 > 2".  In a frame where the guard holds, the first
-case whose condition holds decides the row (`Rule.decide`).  Each text is
-parsed once, when the catalog is built: its left-hand side names an entry
-of `_LHS`, one function of the frame per label, each affine in (a, b), and
-its right-hand side is a number or an entry of `_RHS`, the three that
-depend on the rank.  Everything else is derived from the cases: the row's
-strength (its first case's), the label and condition text `veryample
-rules` prints, the rows that screen the quotient scrolls for R-QUOT-NEC
-(every row whose strength is not sufficient), and the upper end of an
-Unknown window, which the engine reads off each applicable sufficient row
-whose only comparison is on s (`S_LABEL`): `s > t` leaves (.., t] open and
-`s >= t` leaves (.., t) open.  Two rows are not plain text: R-A1-DEC
-compares every summand, so its one case keeps a function, and R-QUOT-NEC
-is decided by the engine's quotient screen (`special="quotient"`).
+A row is a guard and its cases, each written once, as the text `veryample
+rules` prints.  The guard (`scope`) is a list of conditions, split at ", "
+and "; ".  Each case has a label, which is its condition, a strength (iff,
+sufficient or necessary) and its comparisons, such as "b + a/2 > 2".  In a
+frame where the guard holds, the first case whose condition holds decides
+the row (`Rule.decide`); the last case takes every frame left, so its label
+is only printed.  Each text is parsed once, when the catalog is built, and
+an unknown phrase fails there.  A condition is a named one (`_NAMED`, such
+as "E ample" or "deg = 0 (mod rank)"), a count on a, the rank or the frame
+degree ("a >= 2", "rank 4"), "P needs Q and R" (P implies Q and R), or a
+comparison; a guard, or a case's condition, compiles into one function of
+the frame (`_compile`).  A comparison's left-hand side names an entry of `_LHS`, one
+function of the frame per label, each affine in (a, b), and its right-hand
+side is a number or an entry of `_RHS`, the three that depend on the rank.
+Everything else is derived from the cases: the row's strength (its first
+case's), the label and condition text `veryample rules` prints, the rows
+that screen the quotient scrolls for R-QUOT-NEC (every row whose strength
+is not sufficient), and the upper end of an Unknown window, which the
+engine reads off each applicable sufficient row whose only comparison is on
+s (`S_LABEL`): `s > t` leaves (.., t] open and `s >= t` leaves (.., t)
+open.  Two rows compare more than their text: R-A1-DEC compares every
+summand, so its one case keeps a function, and R-QUOT-NEC is decided by
+the engine's quotient screen (`special="quotient"`).
 
 Only rows that can bind are kept.  A sufficient row implied by another
 under the same guard (s >= 3 by R-BUTLER's s > 2), or a necessary row whose
@@ -45,6 +52,7 @@ decisions and records the same decisions when a trail is read.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -131,9 +139,10 @@ _OUTCOMES = {
 
 
 class Case(NamedTuple):
-    """One case of a row: where it holds (`when`, None for every frame
-    left), the strength it decides with there, and its comparisons, as
-    written (`text`) and as evaluated in a frame (`comparisons`)."""
+    """One case of a row: where it holds (`when`, parsed from `label`;
+    None for every frame left), the strength it decides with there, and its
+    comparisons, as written (`text`) and as evaluated in a frame
+    (`comparisons`)."""
 
     label: str
     when: Optional[Callable[[Frame], bool]]
@@ -143,8 +152,8 @@ class Case(NamedTuple):
 
 
 class Rule(NamedTuple):
-    """One catalog row: a guard (`applies`, described by `scope`) and the
-    cases that decide it where the guard holds."""
+    """One catalog row: a guard (`applies`, parsed from its text `scope`)
+    and the cases that decide it where the guard holds."""
 
     rule_id: str
     property_name: str
@@ -233,6 +242,7 @@ _LHS: dict[str, Callable[[Frame], Fraction]] = {
     "b + a": lambda fr: Fraction(fr.b + fr.a),
     "b + a/2": lambda fr: fr.b + Fraction(fr.a, 2),
     "b + a/3": lambda fr: fr.b + Fraction(fr.a, 3),
+    "b + a/r": lambda fr: fr.b + Fraction(fr.a, fr.rank),
     "b + 2a/r": lambda fr: fr.b + Fraction(2 * fr.a, fr.rank),
     "b + a/(r-2)": lambda fr: fr.b + Fraction(fr.a, fr.rank - 2),
     "b + a/(d-1)": lambda fr: fr.b + Fraction(fr.a, fr.deg - 1),
@@ -261,20 +271,88 @@ class _Parsed(tuple):
 
 def _parse(text: str) -> tuple:
     op = ">=" if " >= " in text else ">"
-    label, rhs = text.split(f" {op} ")
+    label, _, rhs = text.partition(f" {op} ")
     return label, _LHS[label], op, _RHS[rhs] if rhs in _RHS else Fraction(rhs)
 
 
-def _case(
-    label: str, when: Optional[Callable[[Frame], bool]], strength: Strength, text: str
-) -> Case:
-    """A case whose comparisons are `text`: inequalities joined by " and "."""
-    return Case(label, when, strength, text, _Parsed(map(_parse, text.split(" and "))))
+# -- conditions as data -------------------------------------------------------
+
+# Every condition a guard or a case may name that is neither a count nor a
+# comparison, as the expression in the frame `fr` it compiles to.
+_NAMED: dict[str, str] = {
+    "every divisor": "True",
+    "indecomposable": "fr.indec",
+    "decomposable": "not fr.indec",
+    "E ample": "fr.ample",
+    "deg even": "fr.deg % 2 == 0",
+    "deg = 0 (mod rank)": "fr.deg % fr.rank == 0",
+    "deg = 0 (mod 3)": "fr.deg % 3 == 0",
+    "deg = 1 (mod 3)": "fr.deg % 3 == 1",
+    "4 <= frame degree < rank": "4 <= fr.deg < fr.rank",
+    "rank = degree + 1": "fr.rank == fr.deg + 1",
+    "outside the exceptional family": "not rank3_exception(fr.bundle)",
+}
+
+# A count: "a = 1", "a >= 2", "rank 4", "frame degree >= 4".
+_COUNT = re.compile(r"(a|rank|frame degree) (?:(>=|=) )?(\d+)")
+
+
+def _expression(text: str, names: dict) -> str:
+    """The expression in `fr` of one condition: a named one, a count, "P
+    needs Q and R" (P implies Q and R) or a comparison, whose parsed form
+    goes into `names`.  An unknown phrase raises KeyError."""
+    if text in _NAMED:
+        return f"({_NAMED[text]})"
+    count = _COUNT.fullmatch(text)
+    if count:
+        name, op, n = count.groups()
+        attr = "deg" if name == "frame degree" else name
+        return f"fr.{attr} {'>=' if op == '>=' else '=='} {int(n)}"
+    premise, needs, rest = text.partition(" needs ")
+    if needs:
+        conclusion = " and ".join(_expression(t, names) for t in rest.split(" and "))
+        return f"(not {_expression(premise, names)} or {conclusion})"
+    name = f"_c{len(names)}"
+    names[name] = _Parsed([_parse(text)])
+    return f"{name}(fr)[0].holds"
+
+
+def _compile(texts: list[str]) -> Callable[[Frame], bool]:
+    """The conjunction of the conditions `texts`, compiled once into one
+    function of the frame.  It costs what a hand-written lambda does, where
+    a closure per condition would add a call per condition to every row
+    decided in every frame."""
+    names: dict = {"rank3_exception": rank3_exception}
+    body = " and ".join(_expression(text, names) for text in texts)
+    return eval(f"lambda fr: {body}", names)
+
+
+def _rule(
+    rule_id: str, property_name: str, citation: str, scope: str,
+    cases: tuple[Case, ...], special: Optional[str] = None,
+) -> Rule:
+    """A row whose guard is its `scope`: conditions split at ", " and "; "."""
+    return Rule(
+        rule_id, property_name, citation, scope, _compile(re.split("[,;] ", scope)),
+        cases, special,
+    )
+
+
+def _cases(*cases: tuple[str, Strength, str]) -> tuple[Case, ...]:
+    """A row's cases, each (label, strength, comparisons joined by " and ");
+    each case but the last holds where its label, as a condition, does."""
+    return tuple(
+        Case(
+            label, _compile([label]) if i < len(cases) - 1 else None, strength,
+            text, _Parsed(map(_parse, text.split(" and "))),
+        )
+        for i, (label, strength, text) in enumerate(cases)
+    )
 
 
 def _only(strength: Strength, text: str) -> tuple[Case, ...]:
     """The one case of a row that does not branch."""
-    return (_case("", None, strength, text),)
+    return _cases(("", strength, text))
 
 
 def _a1_dec_comps(fr: Frame) -> tuple[Comparison, ...]:
@@ -290,204 +368,166 @@ def _a1_dec_comps(fr: Frame) -> tuple[Comparison, ...]:
 # -- the catalog --------------------------------------------------------------
 
 VERY_AMPLE_RULES: tuple[Rule, ...] = (
-    Rule(
+    _rule(
         rule_id="R-FIBER",
         property_name="very_ample",
         citation="restriction to any fiber is O(a) on projective space",
         scope="every divisor",
-        applies=lambda fr: True,
         cases=_only(Strength.NECESSARY, "a >= 1"),
     ),
-    Rule(
+    _rule(
         rule_id="R-MIYAOKA",
         property_name="very_ample",
         citation="Miyaoka's ampleness criterion via the pushforward slope",
         scope="every divisor",
-        applies=lambda fr: True,
         cases=_only(Strength.NECESSARY, "a >= 1 and b + a*mu^-(E) > 0"),
     ),
-    Rule(
+    _rule(
         rule_id="R-BUTLER",
         property_name="very_ample",
         citation="Butler's bound on a genus-one base",
         scope="a >= 1",
-        applies=lambda fr: fr.a >= 1,
         cases=_only(Strength.SUFFICIENT, "b + a*mu^-(E) > 2"),
     ),
-    Rule(
+    _rule(
         rule_id="R-D0MODR",
         property_name="very_ample",
         citation="Gushel's criterion for twists of degree-zero bundles",
         scope="a >= 1, indecomposable, deg = 0 (mod rank)",
-        applies=lambda fr: fr.a >= 1 and fr.indec and fr.deg % fr.rank == 0,
         cases=_only(Strength.IFF, "b + a*mu(E) >= 3"),
     ),
-    Rule(
+    _rule(
         rule_id="R-A1-INDEC",
         property_name="very_ample",
         citation="Gushel's classification for a = 1",
         scope="a = 1, indecomposable",
-        applies=lambda fr: fr.a == 1 and fr.indec,
-        cases=(
-            _case("deg = 0 (mod rank)", lambda fr: fr.deg % fr.rank == 0,
-                  Strength.IFF, "b + mu(E) >= 3"),
-            _case("otherwise", None, Strength.IFF, "b + mu(E) >= 2"),
+        cases=_cases(
+            ("deg = 0 (mod rank)", Strength.IFF, "b + mu(E) >= 3"),
+            ("otherwise", Strength.IFF, "b + mu(E) >= 2"),
         ),
     ),
-    Rule(
+    _rule(
         rule_id="R-A1-DEC",
         property_name="very_ample",
         citation="Gushel's classification for a = 1, summand by summand",
         scope="a = 1, decomposable",
-        applies=lambda fr: fr.a == 1 and not fr.indec,
         cases=(
             Case("every summand", None, Strength.IFF,
                  "b + mu(E_j) >= 3 when deg = 0 (mod rank), else >= 2", _a1_dec_comps),
         ),
     ),
-    Rule(
+    _rule(
         rule_id="R-RK2-INDEC",
         property_name="very_ample",
         citation="Biancofiore-Livorni thresholds for elliptic ruled surfaces",
         scope="a >= 2, rank 2, indecomposable",
-        applies=lambda fr: fr.a >= 2 and fr.rank == 2 and fr.indec,
-        cases=(
-            _case("deg even", lambda fr: fr.deg % 2 == 0,
-                  Strength.IFF, "b + a*mu^-(E) >= 3"),
-            _case("deg odd", None, Strength.IFF, "b + a*mu^-(E) > 1"),
+        cases=_cases(
+            ("deg even", Strength.IFF, "b + a*mu^-(E) >= 3"),
+            ("deg odd", Strength.IFF, "b + a*mu^-(E) > 1"),
         ),
     ),
-    Rule(
+    _rule(
         rule_id="R-RK2-DEC",
         property_name="very_ample",
         citation="rank-2 split threshold via unisecant sections",
         scope="a >= 2, rank 2, decomposable",
-        applies=lambda fr: fr.a >= 2 and fr.rank == 2 and not fr.indec,
         cases=_only(Strength.IFF, "b + a*mu^-(E) >= 3"),
     ),
-    Rule(
+    _rule(
         rule_id="R-RK3-INDEC",
         property_name="very_ample",
         citation="rank-3 indecomposable thresholds by degree class mod 3",
         scope="a >= 2, rank 3, indecomposable",
-        applies=lambda fr: fr.a >= 2 and fr.rank == 3 and fr.indec,
-        cases=(
-            _case("deg = 0 (mod 3)", lambda fr: fr.deg % 3 == 0,
-                  Strength.IFF, "b + a*mu^-(E) >= 3"),
-            _case("deg = 1", lambda fr: fr.deg % 3 == 1,
-                  Strength.SUFFICIENT, "b + a*mu^-(E) > 1"),
-            _case("deg = 2", None, Strength.SUFFICIENT, "b + a*mu^-(E) > 4/3"),
+        cases=_cases(
+            ("deg = 0 (mod 3)", Strength.IFF, "b + a*mu^-(E) >= 3"),
+            ("deg = 1 (mod 3)", Strength.SUFFICIENT, "b + a*mu^-(E) > 1"),
+            ("deg = 2 (mod 3)", Strength.SUFFICIENT, "b + a*mu^-(E) > 4/3"),
         ),
     ),
-    Rule(
+    _rule(
         rule_id="R-RK3-DEC",
         property_name="very_ample",
         citation="rank-3 split classification",
         scope="a >= 2, rank 3, decomposable",
-        applies=lambda fr: fr.a >= 2 and fr.rank == 3 and not fr.indec,
-        cases=(
-            _case("outside the exceptional family",
-                  lambda fr: not rank3_exception(fr.bundle),
-                  Strength.IFF, "b + a*mu^-(E) >= 3"),
-            _case("line L + odd rank-2 G with deg L > deg G/2", None,
-                  Strength.SUFFICIENT, "b + a*mu^-(E) >= 3"),
+        cases=_cases(
+            ("outside the exceptional family", Strength.IFF, "b + a*mu^-(E) >= 3"),
+            ("line L + odd rank-2 G with deg L > deg G/2", Strength.SUFFICIENT,
+             "b + a*mu^-(E) >= 3"),
         ),
     ),
-    Rule(
+    _rule(
         rule_id="R-R4D3",
         property_name="very_ample",
         citation="rank-4 degree-3 classification",
+        # b + a*mu(E) is s wherever it is read: on an indecomposable frame
         scope=(
             "a >= 2, rank 4, frame degree 3; indecomposable needs "
             "b + a*mu(E) > 3/4, decomposable needs E ample and b + a/3 > 1/3"
         ),
-        applies=lambda fr: fr.a >= 2 and fr.rank == 4 and fr.deg == 3 and (
-            fr.s > Fraction(3, 4) if fr.indec
-            else fr.ample and fr.b + Fraction(fr.a, 3) > Fraction(1, 3)
-        ),
-        cases=(
-            _case("indecomposable", lambda fr: fr.indec, Strength.IFF, "b + a >= 3"),
-            _case("decomposable", None, Strength.SUFFICIENT, "b + a/2 > 2"),
+        cases=_cases(
+            ("indecomposable", Strength.IFF, "b + a >= 3"),
+            ("decomposable", Strength.SUFFICIENT, "b + a/2 > 2"),
         ),
     ),
-    Rule(
+    _rule(
         rule_id="R-D3ANYR",
         property_name="very_ample",
         citation="degree-3 induction bound, any rank >= 4",
         scope="a >= 2, rank >= 4, frame degree 3, E ample, b + a*mu^-(E) > 3/5",
-        applies=lambda fr: (
-            fr.a >= 2 and fr.rank >= 4 and fr.deg == 3 and fr.ample and fr.s > Fraction(3, 5)
-        ),
         cases=_only(Strength.SUFFICIENT, "b + a/2 > 2 and b + a/3 > 1/3"),
     ),
-    Rule(
+    _rule(
         rule_id="R-D2-INDEC",
         property_name="very_ample",
         citation="degree-2 indecomposable induction bound",
         scope="a >= 2, rank >= 4, frame degree 2, indecomposable",
-        applies=lambda fr: fr.a >= 2 and fr.rank >= 4 and fr.deg == 2 and fr.indec,
-        cases=(
-            _case("rank 4", lambda fr: fr.rank == 4, Strength.SUFFICIENT, "b + a/2 > 2"),
-            _case("rank >= 5", None, Strength.SUFFICIENT,
-                  "b + a/2 > 2 and b + a/3 > 1/3 and b + 2a/r > 1 + 1/r"),
+        cases=_cases(
+            ("rank 4", Strength.SUFFICIENT, "b + a/2 > 2"),
+            ("rank >= 5", Strength.SUFFICIENT,
+             "b + a/2 > 2 and b + a/3 > 1/3 and b + 2a/r > 1 + 1/r"),
         ),
     ),
-    Rule(
+    _rule(
         rule_id="R-D2-DEC",
         property_name="very_ample",
         citation="degree-2 split induction bound",
         scope="a >= 2, rank >= 4, frame degree 2, decomposable, E ample",
-        applies=lambda fr: (
-            fr.a >= 2 and fr.rank >= 4 and fr.deg == 2 and not fr.indec and fr.ample
-        ),
-        cases=(
-            _case("rank 4", lambda fr: fr.rank == 4, Strength.SUFFICIENT,
-                  "b + a/2 > 2 and b + a*mu^-(E) > 3/2"),
-            _case("rank >= 5", None, Strength.SUFFICIENT,
-                  "b + a*mu^-(E) > 1 + 2/r and b + a/3 > 1/3 and b + a/2 > 2"),
+        cases=_cases(
+            ("rank 4", Strength.SUFFICIENT, "b + a/2 > 2 and b + a*mu^-(E) > 3/2"),
+            ("rank >= 5", Strength.SUFFICIENT,
+             "b + a*mu^-(E) > 1 + 2/r and b + a/3 > 1/3 and b + a/2 > 2"),
         ),
     ),
-    Rule(
+    _rule(
         rule_id="R-D1-INDEC",
         property_name="very_ample",
         citation="degree-1 indecomposable induction bound",
         scope="a >= 2, rank >= 4, frame degree 1, indecomposable, b + a/r > 1",
-        applies=lambda fr: (
-            fr.a >= 2 and fr.rank >= 4 and fr.deg == 1 and fr.indec
-            and fr.b + Fraction(fr.a, fr.rank) > 1
-        ),
-        cases=(
-            _case("rank 4", lambda fr: fr.rank == 4, Strength.SUFFICIENT, "b + a/2 > 2"),
-            _case("rank 5", lambda fr: fr.rank == 5, Strength.SUFFICIENT,
-                  "b + a/3 > 3/2 and b + a/2 > 2"),
-            _case("rank >= 6", None, Strength.SUFFICIENT,
-                  "b + a/(r-2) > 1 + 2/(r-1) and b + a/2 > 2"),
+        cases=_cases(
+            ("rank 4", Strength.SUFFICIENT, "b + a/2 > 2"),
+            ("rank 5", Strength.SUFFICIENT, "b + a/3 > 3/2 and b + a/2 > 2"),
+            ("rank >= 6", Strength.SUFFICIENT, "b + a/(r-2) > 1 + 2/(r-1) and b + a/2 > 2"),
         ),
     ),
-    Rule(
+    _rule(
         rule_id="R-DGE4",
         property_name="very_ample",
         citation="mid-degree induction bound, 4 <= deg < rank",
         scope="a >= 2, 4 <= frame degree < rank, E ample",
-        applies=lambda fr: fr.a >= 2 and 4 <= fr.deg < fr.rank and fr.ample,
         cases=_only(Strength.SUFFICIENT, "b + a/(d-1) > 2 and b + (a-1)*mu^-(E) > 0"),
     ),
-    Rule(
+    _rule(
         rule_id="R-RD1",
         property_name="very_ample",
         citation="corank-one bound, rank = degree + 1",
         scope="a >= 2, indecomposable, frame degree >= 4, rank = degree + 1",
-        applies=lambda fr: (
-            fr.a >= 2 and fr.indec and fr.deg >= 4 and fr.rank == fr.deg + 1
-        ),
         cases=_only(Strength.SUFFICIENT, "b + (a-1)*mu(E) > 0 and b + a > 2"),
     ),
-    Rule(
+    _rule(
         rule_id="R-QUOT-NEC",
         property_name="very_ample",
         citation="necessity via restriction to quotient scrolls P(Q)",
         scope="a >= 1, decomposable",
-        applies=lambda fr: fr.a >= 1 and not fr.indec,
         cases=(
             Case(
                 "every proper summand sub-sum Q", None, Strength.NECESSARY,
@@ -503,44 +543,40 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
 
 
 AMPLE_RULES: tuple[Rule, ...] = (
-    Rule(
+    _rule(
         rule_id="R-AMPLE",
         property_name="ample",
         citation="Miyaoka's ampleness criterion via the pushforward slope",
         scope="every divisor",
-        applies=lambda fr: True,
         cases=_only(Strength.IFF, "a >= 1 and b + a*mu^-(E) > 0"),
     ),
 )
 
 
 GLOBALLY_GENERATED_RULES: tuple[Rule, ...] = (
-    Rule(
+    _rule(
         rule_id="R-GG-A1",
         property_name="globally_generated",
         citation="Gushel's global generation equivalence for a = 1",
         scope="a = 1",
-        applies=lambda fr: fr.a == 1,
         cases=_only(Strength.IFF, "b + mu^-(E) > 1"),
     ),
-    Rule(
+    _rule(
         rule_id="R-GG-SLOPE",
         property_name="globally_generated",
         citation="global generation from the pushforward slope",
         scope="a >= 1",
-        applies=lambda fr: fr.a >= 1,
         cases=_only(Strength.SUFFICIENT, "b + a*mu^-(E) > 1"),
     ),
 )
 
 
 NORMALLY_GENERATED_RULES: tuple[Rule, ...] = (
-    Rule(
+    _rule(
         rule_id="R-NG-BUTLER",
         property_name="normally_generated",
         citation="Butler's normal generation bound on a genus-one base",
         scope="a >= 1",
-        applies=lambda fr: fr.a >= 1,
         cases=_only(Strength.SUFFICIENT, "b + a*mu^-(E) > 2"),
     ),
 )

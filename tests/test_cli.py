@@ -42,6 +42,24 @@ class TestClassify:
         assert "binding rule: R-RK3-INDEC" in out
         assert "firings:" in out
 
+    def test_readme_sample_is_real_output(self, capsys):
+        # every line of the README's classify sample but "  ..." appears,
+        # in order, in the real output
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme, encoding="utf-8") as f:
+            text = f.read()
+        start = text.index("```\nbundle: 3:4 (rank 3, degree 4)\n") + 4
+        sample = [line for line in text[start:text.index("```", start)].splitlines()
+                  if line != "  ..."]
+        assert len(sample) == 11
+        code, out, _ = run(capsys, "classify", "--bundle", "3:4", "--a", "2",
+                           "--b", "-1")
+        assert code == 0
+        lines = iter(out.splitlines())
+        for line in sample:
+            assert line in lines, line
+
     def test_unknown_shows_window(self, capsys):
         code, out, _ = run(capsys, "classify", "--bundle", "1:2,2:3",
                            "--a", "2", "--b", "-1")
@@ -379,8 +397,8 @@ class TestRules:
     # sha256 of `veryample rules` in each format, byte for byte: a change to
     # any row's guard, condition, strength or citation text shows here
     RULES_DIGESTS = {
-        "text": "64522209de7982caa86097e542561e0ef84df9d99cf26158880baada0c70f1b0",
-        "json": "ed699d812c1744e046667f4f608029231d5a064be6c91fd5599317b5b399a81f",
+        "text": "b7cda6289a2c1db62aee208c8e839d850ee0872f8439d6af343dacf200db446f",
+        "json": "4a19e731b902dcd8e3d2f77de8e8d203238d13a3aeb5b047c6c57a1147bf683a",
     }
 
     @pytest.mark.parametrize("fmt", sorted(RULES_DIGESTS))

@@ -30,9 +30,10 @@ from veryample import (
     pushforward_mu_minus,
     rank3_exception,
 )
-from veryample import engine
+from veryample import engine, rules
 from veryample.engine import _classify, _evaluate_catalog, _merge
 from veryample.rules import (
+    ALL_RULES,
     AMPLE_RULES,
     GLOBALLY_GENERATED_RULES,
     NORMALLY_GENERATED_RULES,
@@ -215,6 +216,66 @@ class TestFiringTrail:
                             assert rule.decide(frame)[0] is rule.evaluate(frame).outcome, (
                                 rule.rule_id, str(E), a, b, frame.l,
                             )
+
+
+class TestGuards:
+    # every indecomposable atom of rank 2..8 in its lowest frame, and every
+    # decomposable sum of rank 2..6 with atom degrees 0 and 1, so the guards
+    # of the rank >= 5 rows and the ample decomposable rows are reached
+    SWEEP = [Bundle(((r, d),)) for r in range(2, 9) for d in range(r)] + [
+        E for E in small_bundles(6, 1)
+        if not E.is_indecomposable and all(A.degree >= 0 for A in E.atoms)
+    ]
+
+    # sha256 of (bundle, a, b, rule id, frame, outcome, strength) of every
+    # row of the four catalogs in every canonical frame of SWEEP
+    DECISION_DIGEST = "69477775e682c130533dec2309408a8a168b3891f8823c839b2cd96e08dd906c"
+
+    def test_every_guard_decision_is_pinned(self):
+        assert (len(self.SWEEP), sum(E.is_ample for E in self.SWEEP)) == (161, 51)
+        code = {m: m.value for m in (*Outcome, *Strength)}
+        code[None] = None
+        digest = hashlib.sha256()
+        applied = {}
+        for E in self.SWEEP:
+            for a in range(0, 7):
+                for b in range(-9, 9):
+                    cell = [str(E), a, b]
+                    for frame in canonical_frames(E, Divisor(a, b)):
+                        for rule in ALL_RULES:
+                            outcome, strength, _ = rule.decide(frame)
+                            cell.append((rule.rule_id, frame.l, code[outcome], code[strength]))
+                            if strength is not None:
+                                applied[rule, frame.bundle] = frame
+                    digest.update(repr(cell).encode())
+        assert digest.hexdigest() == self.DECISION_DIGEST
+        # every case of every row decides somewhere in the sweep; a case
+        # condition reads the frame's bundle only
+        decided = {
+            (rule.rule_id, next(
+                i for i, case in enumerate(rule.cases)
+                if case.when is None or case.when(frame)
+            ))
+            for (rule, _), frame in applied.items()
+        }
+        assert decided == {
+            (rule.rule_id, i) for rule in ALL_RULES for i in range(len(rule.cases))
+        }
+
+    @pytest.mark.parametrize("scope", [
+        "indecomposible",
+        "a >= 2, rank 3, indecomposible",
+        "a >= 2, rank == 3",
+        "rank 4; indecomposable needs b + a*mu(F) > 3/4",
+    ])
+    def test_an_unknown_guard_phrase_raises_when_built(self, scope):
+        with pytest.raises(KeyError):
+            rules._rule("R-X", "very_ample", "c", scope, rules._only(Strength.IFF, "a >= 1"))
+
+    @pytest.mark.parametrize("label", ["indecomposible", "rank == 4", "deg = 1 (mod 4)"])
+    def test_an_unknown_case_label_raises_when_built(self, label):
+        with pytest.raises(KeyError):
+            rules._cases((label, Strength.IFF, "a >= 1"), ("otherwise", Strength.IFF, "a >= 1"))
 
 
 # five to seven line summands, repeated atoms included, so the full
