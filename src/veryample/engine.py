@@ -1,18 +1,18 @@
 """Decision and merge: from the rule catalog to a single Verdict.
 
 Every classification follows the same path: build the canonical twist
-frames, decide every catalog row in every frame, then merge the decisions
-under the lattice  No  >  Yes(iff)  >  Yes(sufficient)  >  Unknown.  A
+frame, decide every catalog row in it, then merge the decisions under
+the lattice  No  >  Yes(iff)  >  Yes(sufficient)  >  Unknown.  A
 simultaneous Yes and No is not a tie to break: it means the catalog is
 transcribed wrong, and it raises ContradictionError instead of returning
 anything.
 
-Deciding builds no record.  Each row is decided once in each frame, and
-R-QUOT-NEC once, No as soon as one screened sub-sum Q has a negative
-witness, so its screen stops there.  The verdict binds on these decisions,
-reads its Unknown window off them, and keeps them: the first read of its
-`firings` records them as the trail, in which only R-QUOT-NEC is screened
-again, for one firing per screened sub-sum.
+Deciding builds no record.  Each row is decided once, R-QUOT-NEC too: it
+is No as soon as one screened sub-sum Q has a negative witness, so its
+screen stops there.  The verdict binds on these decisions, reads its
+Unknown window off them, and keeps them: the first read of its `firings`
+records them as the trail, in which only R-QUOT-NEC is screened again, for
+one firing per screened sub-sum.
 
 The quotient screen.  R-QUOT-NEC restricts D to the quotient scrolls P(Q),
 Q a proper sub-sum of E's atoms, and says No when a row that can say No
@@ -36,11 +36,16 @@ the decision against the full enumeration, so a catalog edit that breaks
 the pruning fails them.
 
 Frames: twisting E by a degree-l line bundle re-coordinatizes P(E) and
-sends aT + bf to aT + (b - a*l)f.  The canonical frames are the two
-consecutive twists with 0 <= deg E(l) <= 2*rank - 1; every degree-guarded
-row sees the frame it wants there.  The slope invariant b + a*mu^-(E) and
-all verdicts are frame-independent; the firing records keep the frame they
-fired in.
+sends aT + bf to aT + (b - a*l)f.  The canonical frame is the twist l0 with
+0 <= deg E(l0) < rank; in any other frame each row is inapplicable or
+decides as in l0.  The rows guarded by a frame degree (R-R4D3, R-D3ANYR,
+R-D2-*, R-D1-INDEC, R-DGE4, R-RD1) need one in 1..rank - 1, which only l0
+has, and only they read b + a, b + a/k or "E ample".  Every other row reads
+what a twist keeps: a, s, b + a*mu(E), the rank, deg mod rank,
+indecomposability, `rank3_exception`, and at a = 1 b + mu(E), b + mu^-(E)
+and each b + mu(A).  The tests check this for every row in frame l0 + 1.
+The slope invariant and all verdicts are frame-independent; the firing
+records keep the frame they fired in (R-QUOT-NEC's is the untwisted one).
 """
 
 from __future__ import annotations
@@ -122,17 +127,11 @@ def _twisted(E: Bundle, l: int) -> Bundle:
 
 
 def canonical_frames(E: Bundle, D: Divisor) -> tuple[Frame, ...]:
-    """The two consecutive twists l with 0 <= deg E(l) <= 2*rank - 1.
-
-    Returned in ascending l, each carrying the transformed divisor
-    coefficient b - a*l.
-    """
-    r, d = E.rank, E.degree
-    lo = -(d // r)
-    hi = (2 * r - 1 - d) // r
-    return tuple(
-        Frame(l, _twisted(E, l), D.a, D.b - D.a * l) for l in range(lo, hi + 1)
-    )
+    """The one canonical frame, as a one-element tuple: the twist l0 with
+    0 <= deg E(l0) < rank, carrying the transformed divisor coefficient
+    b - a*l0 (module docstring)."""
+    l = -(E.degree // E.rank)
+    return (Frame(l, _twisted(E, l), D.a, D.b - D.a * l),)
 
 
 # -- quotient-scroll necessity (R-QUOT-NEC) ----------------------------------
@@ -172,11 +171,11 @@ def _negative_witness(
     if Q.rank == 1:
         comp = _curve_comparison(Q, D)
         return None if comp.holds else ("curve threshold", (comp,))
-    for frame in canonical_frames(Q, D):
-        for rule in _SCREEN_RULES:
-            outcome, _, comps = rule.decide(frame)
-            if outcome is Outcome.NO:
-                return rule.rule_id, comps
+    frame, = canonical_frames(Q, D)
+    for rule in _SCREEN_RULES:
+        outcome, _, comps = rule.decide(frame)
+        if outcome is Outcome.NO:
+            return rule.rule_id, comps
     return None
 
 
@@ -224,10 +223,10 @@ class _Decision(NamedTuple):
 def _decide_catalog(
     rules: tuple[Rule, ...], E: Bundle, D: Divisor
 ) -> list[_Decision]:
-    """Every row decided once in every canonical frame.  R-QUOT-NEC is
-    decided once, in the untwisted frame, and its pass turns into No at the
+    """Every row decided once, in the canonical frame.  R-QUOT-NEC is
+    decided in the untwisted frame, and its pass turns into No at the
     first screened sub-sum with a negative witness."""
-    frames = canonical_frames(E, D)
+    frame, = canonical_frames(E, D)
     decisions = []
     for rule in rules:
         if rule.special == "quotient":
@@ -238,14 +237,13 @@ def _decide_catalog(
             ):
                 outcome = Outcome.NO
             decisions.append(_Decision(rule, whole, outcome, strength, comps))
-            continue
-        for frame in frames:
+        else:
             decisions.append(_Decision(rule, frame, *rule.decide(frame)))
     return decisions
 
 
 def _trail(decisions: Sequence[_Decision], D: Divisor) -> tuple[RuleFiring, ...]:
-    """The firings of decisions, sorted by (rule id, frame): each decision
+    """The firings of decisions, sorted by rule id: each decision
     recorded, except that an applicable R-QUOT-NEC becomes one firing per
     screened sub-sum."""
     firings: list[RuleFiring] = []
@@ -254,7 +252,7 @@ def _trail(decisions: Sequence[_Decision], D: Divisor) -> tuple[RuleFiring, ...]
             firings.extend(_quotient_firings(rule, frame, D))
         else:
             firings.append(rule.record(frame, outcome, strength, comps))
-    firings.sort(key=lambda f: (f.rule_id, f.frame))
+    firings.sort(key=lambda f: f.rule_id)
     return tuple(firings)
 
 
@@ -329,8 +327,9 @@ def _merge(
 
 
 def applicable_rules(E: Bundle, D: Divisor) -> tuple[RuleFiring, ...]:
-    """Every very-ampleness rule evaluated in every canonical frame,
-    inapplicable rows included, ordered by (rule id, frame)."""
+    """Every very-ampleness rule evaluated in the canonical frame,
+    inapplicable rows included, ordered by rule id; R-QUOT-NEC fires in
+    the untwisted frame, once per screened sub-sum."""
     _require_projective_bundle(E)
     return _evaluate_catalog(VERY_AMPLE_RULES, E, D)
 

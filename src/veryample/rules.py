@@ -2,7 +2,7 @@
 
 Each Rule is a datum, not code to read around: an id, a citation, a guard,
 and the exact inequalities with their exact strictness.  The engine
-(engine.py) decides every rule in every canonical frame and merges the
+(engine.py) decides every rule in its one canonical frame and merges the
 decisions; nothing in this file decides a verdict by itself.
 
 Conventions shared by all rows.  Quantities are frame-local: inside a frame
@@ -46,8 +46,8 @@ Decision and record are separate: `Rule.decide` decides a row in a frame
 (guard, deciding case, comparisons) without building anything, and
 `Rule.record` keeps a decision as a RuleFiring that holds the comparisons;
 their text is rendered only when the trail is read.  `Rule.evaluate` is the
-two in one.  The engine decides each row once per frame, merges on the
-decisions and records the same decisions when a trail is read.
+two in one.  The engine decides each row once, merges on the decisions
+and records the same decisions when a trail is read.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 A classification never returns a bare boolean: it returns a Verdict carrying
 the three-valued status, the strength of the justification, the binding rule,
-and the full list of RuleFiring records (one per rule per frame, including
-rules that did not apply).  Unknown verdicts carry the exact open interval of
+and the full list of RuleFiring records (one per rule, including rules that
+did not apply, and one per screened quotient scroll).  Unknown verdicts carry the exact open interval of
 the slope invariant b + a*mu^-(E) in which the question is unsettled.
 
 The engine decides a verdict without building its records: a Verdict holds
@@ -231,7 +231,7 @@ class Verdict(Frozen):
 
     @property
     def firings(self) -> tuple[RuleFiring, ...]:
-        """Every rule in every frame, ordered by (rule id, frame)."""
+        """Every rule's firing, ordered by rule id."""
         try:
             return self._firings
         except AttributeError:
