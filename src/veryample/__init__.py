@@ -17,7 +17,6 @@ from .bundles import (
     BundleParseError,
     HNStage,
     IndecBundle,
-    Rational,
     parse_bundle,
 )
 from .chow import (
@@ -26,12 +25,10 @@ from .chow import (
     divisor_degree,
     embedding_profile,
     h0_divisor,
-    multiply,
     section_curve_class,
 )
 from .engine import (
     Divisor,
-    applicable_rules,
     canonical_frames,
     classify_ample,
     classify_globally_generated,
@@ -60,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # bundles
-    "Rational",
     "IndecBundle",
     "Bundle",
     "HNStage",
@@ -77,7 +73,6 @@ __all__ = [
     "pushforward_mu_minus",
     # chow
     "NumClass",
-    "multiply",
     "divisor_class",
     "divisor_degree",
     "h0_divisor",
@@ -86,7 +81,6 @@ __all__ = [
     # engine
     "Divisor",
     "canonical_frames",
-    "applicable_rules",
     "classify_ample",
     "classify_globally_generated",
     "classify_normally_generated",

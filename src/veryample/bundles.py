@@ -20,10 +20,7 @@ from typing import Iterable, NamedTuple
 
 from ._frozen import Frozen, validated_make
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "IndecBundle",
     "Bundle",
     "HNStage",

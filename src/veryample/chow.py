@@ -27,7 +27,6 @@ from .errors import ContextMismatchError, DomainError, H0UndefinedError
 
 __all__ = [
     "NumClass",
-    "multiply",
     "divisor_class",
     "divisor_degree",
     "h0_divisor",
@@ -156,11 +155,6 @@ class NumClass(_NumClassFields):
             ) or "1"
             parts.append(f"{c}*{mono}" if mono != "1" else str(c))
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def multiply(x: NumClass, y: NumClass) -> NumClass:
-    """Product in the numerical ring; contexts must match."""
-    return x * y
 
 
 def divisor_class(E: Bundle, a: int, b: int) -> NumClass:

@@ -2,13 +2,14 @@
 
     veryample classify   --bundle 3:4 --a 2 --b -1 [--format text|json]
     veryample invariants --bundle 3:4 --a 2 --b -1 [--format text|json]
-    veryample table      --bundle 2:1 --a 2..6 --b -3..3 [--format text|csv|json]
+    veryample table      --bundle 2:1 --a 2..6 --b -3..3 [--format text|csv|json|atlas]
     veryample rules      [--format text|json]
 
 Bundles use the r:d,r:d,... grammar; table accepts lo..hi ranges (inclusive)
-for --a and --b.  Exit codes: 0 success, 2 parse or usage errors, 3 domain
-errors (e.g. classification on a rank-1 bundle), 4 when stdout is closed or
-full.  A closed pipe (`| head`) exits 4 quietly; any other write error
+for --a and --b, and its atlas format is a Y/./? panel of the statuses, a
+across and b descending.  Exit codes: 0 success, 2 parse or usage errors, 3
+domain errors (e.g. classification on a rank-1 bundle), 4 when stdout is
+closed or full.  A closed pipe (`| head`) exits 4 quietly; any other write error
 prints one `error:` line first.  Rationals render as p/q in text and csv,
 and as {"num": p, "den": q} in json.
 
@@ -318,6 +319,9 @@ def cmd_table(ns: argparse.Namespace) -> int:
         for a, b, status, strength, binding, s in rows:
             writer.writerow([a, b, status, strength or "", binding or "", frac_text(s)])
         return 0
+    if ns.format == "atlas":
+        _print_atlas(E, a_range, b_range, rows)
+        return 0
     if ns.format == "json":
         payload = {
             "bundle": str(E),
@@ -351,6 +355,19 @@ def cmd_table(ns: argparse.Namespace) -> int:
     for row in text_rows:
         print("  ".join(row[i].ljust(widths[i]) for i in range(len(header))))
     return 0
+
+
+_ATLAS_MARKS = {"VeryAmple": "Y", "NotVeryAmple": ".", "Unknown": "?"}
+
+
+def _print_atlas(E: Bundle, a_range: range, b_range: range, rows: list) -> None:
+    status = {(a, b): st for a, b, st, *_ in rows}
+    width = max(3, *(len(str(b)) for b in b_range))
+    print(f"E = {E}  (rank {E.rank}, degree {E.degree}, mu^-(E) = {E.mu_minus})")
+    print(" " * (width + 3) + "a=" + " ".join(str(a) for a in a_range))
+    for b in reversed(b_range):
+        marks = (_ATLAS_MARKS[status[a, b]].rjust(len(str(a))) for a in a_range)
+        print(f"  b={b:>{width}} " + " ".join(marks))
 
 
 # -- rules -----------------------------------------------------------------------
@@ -405,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("classify", cmd_classify, "very-ampleness verdict for one divisor", ("text", "json"), True)
     add("invariants", cmd_invariants, "bundle/divisor invariants and all verdicts", ("text", "json"), True)
-    add("table", cmd_table, "sweep ranges of a and b", ("text", "csv", "json"), True)
+    add("table", cmd_table, "sweep ranges of a and b", ("text", "csv", "json", "atlas"), True)
     add("rules", cmd_rules, "print the rule catalog", ("text", "json"), False)
     return parser
 
@@ -430,8 +447,12 @@ def _run(args: list[str]) -> int:
         with redirect_stdout(shown):
             ns = _build_parser().parse_args(args)
     except SystemExit as exc:
+        if exc.code not in (0, None):
+            return 2
+        # only help or version text; on an error argparse wrote nothing
+        # here, and writing even "" to a full stdout would fail the flush
         sys.stdout.write(shown.getvalue())
-        return 0 if exc.code in (0, None) else 2
+        return 0
     try:
         return ns.handler(ns)
     except BundleParseError as exc:

@@ -80,7 +80,6 @@ from .verdicts import (
 __all__ = [
     "Divisor",
     "canonical_frames",
-    "applicable_rules",
     "classify_ample",
     "classify_globally_generated",
     "classify_normally_generated",
@@ -256,13 +255,6 @@ def _trail(decisions: Sequence[_Decision], D: Divisor) -> tuple[RuleFiring, ...]
     return tuple(firings)
 
 
-def _evaluate_catalog(
-    rules: tuple[Rule, ...], E: Bundle, D: Divisor
-) -> tuple[RuleFiring, ...]:
-    """The firing trail of a fresh decision of every row."""
-    return _trail(_decide_catalog(rules, E, D), D)
-
-
 _AFFIRMATIVE_RANK = {Strength.IFF: 0, Strength.SUFFICIENT: 1}
 _NEGATIVE_RANK = {Strength.IFF: 0, Strength.NECESSARY: 1}
 
@@ -324,14 +316,6 @@ def _merge(
         property_name, Status.UNKNOWN, None, None, trail,
         unknown_window=window, unknown_reason=reason, slope_invariant=s,
     )
-
-
-def applicable_rules(E: Bundle, D: Divisor) -> tuple[RuleFiring, ...]:
-    """Every very-ampleness rule evaluated in the canonical frame,
-    inapplicable rows included, ordered by rule id; R-QUOT-NEC fires in
-    the untwisted frame, once per screened sub-sum."""
-    _require_projective_bundle(E)
-    return _evaluate_catalog(VERY_AMPLE_RULES, E, D)
 
 
 def _classify(

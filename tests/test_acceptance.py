@@ -22,7 +22,6 @@ from veryample import (
     NumClass,
     Outcome,
     Strength,
-    applicable_rules,
     classify_ample,
     classify_very_ample,
     divisor_class,
@@ -142,8 +141,7 @@ def test_criterion_5_exception_family():
     open_case = classify_very_ample(E, Divisor(2, -1))
     assert open_case.status == "Unknown"
     assert open_case.unknown_window.render() == "(0, 2]"
-    firings = applicable_rules(E, Divisor(2, -1))
-    quot = [f for f in firings if f.rule_id == "R-QUOT-NEC"]
+    quot = [f for f in open_case.firings if f.rule_id == "R-QUOT-NEC"]
     assert len(quot) == 2
     assert all(f.outcome is Outcome.PASS for f in quot)
 

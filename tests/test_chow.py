@@ -19,7 +19,6 @@ from veryample import (
     divisor_degree,
     embedding_profile,
     h0_divisor,
-    multiply,
     parse_bundle,
     section_curve_class,
 )
@@ -93,7 +92,7 @@ class TestRelations:
         with pytest.raises(ContextMismatchError):
             NumClass.taut(2, 3) + NumClass.taut(2, 4)
         with pytest.raises(ContextMismatchError):
-            multiply(NumClass.taut(2, 3), NumClass.taut(3, 3))
+            NumClass.taut(2, 3) * NumClass.taut(3, 3)
 
 
 class TestRingLaws:

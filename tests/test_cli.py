@@ -7,6 +7,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -22,6 +24,8 @@ from veryample.cli import main
 
 from conftest import bundles
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -45,9 +49,7 @@ class TestClassify:
     def test_readme_sample_is_real_output(self, capsys):
         # every line of the README's classify sample but "  ..." appears,
         # in order, in the real output
-        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                              "README.md")
-        with open(readme, encoding="utf-8") as f:
+        with open(README, encoding="utf-8") as f:
             text = f.read()
         start = text.index("```\nbundle: 3:4 (rank 3, degree 4)\n") + 4
         sample = [line for line in text[start:text.index("```", start)].splitlines()
@@ -135,6 +137,11 @@ class TestExitCodes:
                            "--b", "0")
         assert code == 3
         assert "rank" in err
+        code, out, err = run(capsys, "table", "--bundle", "1:0", "--a", "1..5",
+                             "--b", "-4..3", "--format", "atlas")
+        assert code == 3
+        assert out == ""
+        assert "rank" in err
 
     def test_range_rejected_outside_table(self, capsys):
         code, _, err = run(capsys, "classify", "--bundle", "2:1", "--a",
@@ -193,12 +200,13 @@ class TestExitCodes:
     def test_table_past_the_cell_cap_is_2(self, capsys):
         # 1001 x 100 = 100,100 cells; the cap is checked before any cell is
         # built or classified
-        code, out, err = run(capsys, "table", "--bundle", "2:1", "--a", "1..1001",
-                             "--b", "1..100")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
-        assert "past the cap" in err
+        for fmt in ("text", "atlas"):
+            code, out, err = run(capsys, "table", "--bundle", "2:1", "--a", "1..1001",
+                                 "--b", "1..100", "--format", fmt)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+            assert "past the cap" in err
 
     def test_distinct_atom_cap(self, capsys):
         # classify and invariants have no screen cap: the quotient screen
@@ -270,7 +278,7 @@ class TestGrammarFuzz:
         bundle=st.one_of(_BUNDLES, _BUNDLES, _BUNDLES, _JUNK),
         a=_VALUES,
         b=_VALUES,
-        fmt=st.sampled_from((None,) * 3 + ("text", "json", "csv", "yaml")),
+        fmt=st.sampled_from((None,) * 3 + ("text", "json", "csv", "atlas", "yaml")),
         drop=st.sampled_from((None,) * 12 + ("--bundle", "--a", "--b")),
         extra=st.sampled_from(((),) * 12 + (("--a",), ("--zzz",), ("-",), ("--b", "1"))),
     )
@@ -364,10 +372,46 @@ class TestTable:
                 for a, b, status, strength, binding, s in (line.split() for line in lines[2:])
             ]
 
+            # the atlas carries the status only, one mark per (a, b)
+            code, out, _ = run(capsys, *argv, "--format", "atlas")
+            assert code == 0
+            a_labels = [int(a) for a in out.splitlines()[1].split("a=")[1].split()]
+            atlas_rows = [line[len("  b="):].split() for line in out.splitlines()[2:]]
+            marks = {(a, int(b)): m for b, *row in atlas_rows
+                     for a, m in zip(a_labels, row, strict=True)}
+
             assert len(expected) == 55
             assert csv_rows == expected, bundle
             assert json_rows == expected, bundle
             assert text_rows == expected, bundle
+            assert [int(b) for b, *_ in atlas_rows] == list(range(5, -6, -1)), bundle
+            mark = {"VeryAmple": "Y", "NotVeryAmple": ".", "Unknown": "?"}
+            assert marks == {(a, b): mark[status] for a, b, status, *_ in expected}, bundle
+
+    # sha256 of five atlas panels, a 1..5 x b -4..3, each followed by a
+    # blank line
+    ATLAS_DIGEST = "a15ae298e81cc00d177cfa98721dcf9a0ff1b51b5b6c41973632f934957f9e52"
+
+    def test_atlas_output_is_pinned(self, capsys):
+        out = ""
+        for bundle in ("2:1", "2:0", "3:2", "1:2,2:3", "1:0,1:1,2:1"):
+            code, panel, _ = run(capsys, "table", "--bundle", bundle, "--a", "1..5",
+                                 "--b", "-4..3", "--format", "atlas")
+            assert code == 0
+            out += panel + "\n"
+        assert out.count("E = ") == 5
+        assert "?" in out  # the open strip of 3:2 and of the exception family
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ATLAS_DIGEST
+
+    def test_atlas_marks_sit_under_their_labels(self, capsys):
+        # a two-digit a label right-aligns its mark; a five-character b
+        # label widens the label column and the header with it
+        code, out, _ = run(capsys, "table", "--bundle", "3:2", "--a", "8..12",
+                           "--b", "-1003..-1000", "--format", "atlas")
+        assert code == 0
+        assert out.splitlines()[1:3] == ["        a=8 9 10 11 12",
+                                         "  b=-1000 . .  .  .  ."]
+        assert len(set(map(len, out.splitlines()[1:]))) == 1
 
 
 class TestRules:
@@ -409,8 +453,8 @@ class TestRules:
 
 
 def test_import_leaves_the_process_pool_out():
-    # only a parallel table sweep needs concurrent.futures; a classify or
-    # invariants process should not pay to import it
+    # every command, table included, runs in the one CLI process, so no
+    # process should pay to import concurrent.futures
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, veryample.cli; print('concurrent.futures' in sys.modules)"],
@@ -482,3 +526,38 @@ class TestClosedOutput:
         assert proc.returncode == 4
         assert proc.stderr.startswith("error: cannot write the output")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("tabel",),
+        ("classify", "--bundle", "2:1", "--a", "1"),
+        ("classify", "--bundle", "2:1", "--a", "1", "--b", "0", "--format", "yaml"),
+    ], ids=["command", "missing-b", "format"])
+    def test_usage_error_to_a_full_device_exits_2(self, argv):
+        # a usage error writes nothing to stdout, so a full one cannot fail;
+        # in-process fakes and a closed pipe miss this, a real device does not
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "veryample.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage:")
+        assert "cannot write" not in proc.stderr
+
+
+def test_readme_commands_run(capsys):
+    # every veryample line of the README's sh blocks exits 0 with output,
+    # and every `python <path>` line names a file of this checkout
+    with open(README, encoding="utf-8") as f:
+        blocks = re.findall(r"```sh\n(.*?)```", f.read(), re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks
+             for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["veryample"]]
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out, (argv, err)
+    for argv in lines:
+        if argv[:1] in (["python"], ["python3"]) and argv[1:2] and argv[1][0] != "-":
+            assert os.path.isfile(os.path.join(os.path.dirname(README), argv[1])), argv
+    assert len(commands) >= 5

@@ -20,7 +20,6 @@ from veryample import (
     Outcome,
     Status,
     Strength,
-    applicable_rules,
     canonical_frames,
     classify_ample,
     classify_globally_generated,
@@ -31,7 +30,7 @@ from veryample import (
     rank3_exception,
 )
 from veryample import engine, rules
-from veryample.engine import _classify, _evaluate_catalog, _merge
+from veryample.engine import _classify, _decide_catalog, _merge, _trail
 from veryample.rules import (
     ALL_RULES,
     AMPLE_RULES,
@@ -149,36 +148,30 @@ class TestWorkedVerdicts:
 
 
 class TestFiringTrail:
-    def test_every_rule_reports_in_every_frame(self):
-        firings = applicable_rules(parse_bundle("3:4"), Divisor(2, -1))
-        by_rule = {}
-        for f in firings:
-            by_rule.setdefault(f.rule_id, []).append(f.frame)
-        assert set(by_rule) == {
-            "R-FIBER", "R-MIYAOKA", "R-BUTLER",
-            "R-D0MODR", "R-A1-INDEC", "R-A1-DEC", "R-RK2-INDEC", "R-RK2-DEC",
-            "R-RK3-INDEC", "R-RK3-DEC", "R-R4D3",
-            "R-D3ANYR", "R-D2-INDEC", "R-D2-DEC", "R-D1-INDEC", "R-DGE4",
-            "R-RD1", "R-QUOT-NEC",
-        }
-        for frames in by_rule.values():
-            assert frames == sorted(frames)
+    def test_each_row_fires_once_in_the_canonical_frame(self):
+        # 3:4 twists to 3:1 in l0 = -1; R-QUOT-NEC keeps the untwisted frame
+        firings = va("3:4", 2, -1).firings
+        rows = [f for f in firings if f.rule_id != "R-QUOT-NEC"]
+        assert sorted((f.rule_id, f.frame) for f in rows) == sorted(
+            (rule.rule_id, -1) for rule in VERY_AMPLE_RULES if rule.special is None
+        )
+        assert len(rows) == 17
 
     def test_rank3_rule_fires_yes_in_the_canonical_frame(self):
-        firings = applicable_rules(parse_bundle("3:4"), Divisor(2, -1))
+        firings = va("3:4", 2, -1).firings
         rk3 = [f for f in firings if f.rule_id == "R-RK3-INDEC"]
         assert [f.frame for f in rk3] == [-1]
         assert all(f.outcome is Outcome.YES for f in rk3)
 
     def test_necessary_rules_record_passes(self):
-        firings = applicable_rules(parse_bundle("1:2,2:3"), Divisor(2, -1))
+        firings = va("1:2,2:3", 2, -1).firings
         quot = [f for f in firings if f.rule_id == "R-QUOT-NEC"
                 and f.outcome is not Outcome.INAPPLICABLE]
         assert len(quot) == 2  # proper sub-sums 1:2 and 2:3
         assert all(f.outcome is Outcome.PASS for f in quot)
 
     def test_quotient_failure_names_the_witness(self):
-        firings = applicable_rules(parse_bundle("1:2,2:3"), Divisor(2, -2))
+        firings = va("1:2,2:3", 2, -2).firings
         rejected = [f for f in firings if f.rule_id == "R-QUOT-NEC"
                     and f.outcome is Outcome.NO]
         assert rejected
@@ -186,7 +179,7 @@ class TestFiringTrail:
         assert rejected[0].lhs == 2 and rejected[0].threshold == 3
 
     def test_guard_misses_are_reported_inapplicable(self):
-        firings = applicable_rules(parse_bundle("3:4"), Divisor(2, -1))
+        firings = va("3:4", 2, -1).firings
         d0 = [f for f in firings if f.rule_id == "R-D0MODR"]
         assert all(f.outcome is Outcome.INAPPLICABLE for f in d0)
         assert all("guard not met" in f.condition for f in d0)
@@ -223,15 +216,18 @@ class TestFiringTrail:
         assert digest.hexdigest() == self.TRAIL_DIGEST
 
     def test_decide_matches_evaluate(self):
-        rows = [rule for rule in VERY_AMPLE_RULES if rule.special is None]
+        # the trail records what the engine decided; Rule.evaluate decides
+        # afresh, and each row's one firing must equal it field for field
+        rows = sorted((rule for rule in VERY_AMPLE_RULES if rule.special is None),
+                      key=lambda rule: rule.rule_id)
         for E in small_bundles(4, 2):
             for a in range(0, 5):
                 for b in range(-5, 6):
-                    for frame in canonical_frames(E, Divisor(a, b)):
-                        for rule in rows:
-                            assert rule.decide(frame)[0] is rule.evaluate(frame).outcome, (
-                                rule.rule_id, str(E), a, b, frame.l,
-                            )
+                    D = Divisor(a, b)
+                    frame, = canonical_frames(E, D)
+                    fired = [f for f in classify_very_ample(E, D).firings
+                             if f.rule_id != "R-QUOT-NEC"]
+                    assert fired == [rule.evaluate(frame) for rule in rows], (str(E), a, b)
 
 
 class TestGuards:
@@ -338,7 +334,7 @@ class TestDecidedMerge:
                 for b in range(-5, 6):
                     D = Divisor(a, b)
                     decided = _classify(name, rules, E, D, lo)
-                    firings = _evaluate_catalog(rules, E, D)
+                    firings = _trail(_decide_catalog(rules, E, D), D)
                     recorded = _merge(name, E, D, firings, lo, trail=lambda: firings)
                     assert _summary(decided) == _summary(recorded), (str(E), a, b)
                     cells += 1
@@ -387,7 +383,8 @@ class TestLazyTrail:
         before = len(recorded)
         assert verdicts[0].firings is trail
         assert len(recorded) == before and len(screened) == 1
-        assert trail == _evaluate_catalog(VERY_AMPLE_RULES, E, Divisor(2, 2))
+        D = Divisor(2, 2)
+        assert trail == _trail(_decide_catalog(VERY_AMPLE_RULES, E, D), D)
 
     def test_each_row_is_decided_once_per_frame(self, monkeypatch):
         # Unknown, so the window is read too: 17 rows in the canonical
