@@ -98,12 +98,14 @@ class HNStage(NamedTuple):
 class Bundle(Frozen):
     """A direct sum of atoms; the multiset is kept in canonical sorted order.
 
-    rank, degree, slope, mu_minus, mu_plus and is_ample are each computed
-    on their first read (`_DERIVED`) and kept in their slot.
+    rank, degree, slope, mu_minus, mu_plus, is_ample and is_indecomposable
+    are each computed on their first read (`_DERIVED`) and kept in their
+    slot.
     """
 
     __slots__ = (
         "atoms", "_hash", "rank", "degree", "slope", "mu_minus", "mu_plus", "is_ample",
+        "is_indecomposable",
     )
     _fields = ("atoms",)
 
@@ -138,10 +140,6 @@ class Bundle(Frozen):
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def is_indecomposable(self) -> bool:
-        return len(self.atoms) == 1
 
     @property
     def is_semistable(self) -> bool:
@@ -182,6 +180,7 @@ _DERIVED = {
     "mu_plus": lambda E: max(atom.slope for atom in E.atoms),
     # ample iff every atom has positive degree (Hartshorne, genus one)
     "is_ample": lambda E: all(atom.degree > 0 for atom in E.atoms),
+    "is_indecomposable": lambda E: len(E.atoms) == 1,
 }
 
 

@@ -7,12 +7,14 @@ simultaneous Yes and No is not a tie to break: it means the catalog is
 transcribed wrong, and it raises ContradictionError instead of returning
 anything.
 
-Deciding builds no record.  Each row is decided once, R-QUOT-NEC too: it
-is No as soon as one screened sub-sum Q has a negative witness, so its
-screen stops there.  The verdict binds on these decisions, reads its
-Unknown window off them, and keeps them: the first read of its `firings`
-records them as the trail, in which only R-QUOT-NEC is screened again, for
-one firing per screened sub-sum.
+One path per row.  Each row is decided once, by `Rule.evaluate`, whose
+RuleFiring is both the decision and the trail line; R-QUOT-NEC too: it is
+No as soon as one screened sub-sum Q has a negative witness, so its screen
+stops there.  The verdict binds on these firings, reads its Unknown window
+off them, and keeps them: the first read of its `firings` sorts them by
+rule id as the trail, in which only R-QUOT-NEC is screened again, for one
+firing per screened sub-sum.  What a verdict keeps for its trail is plain
+data, so a verdict pickles.
 
 The quotient screen.  R-QUOT-NEC restricts D to the quotient scrolls P(Q),
 Q a proper sub-sum of E's atoms, and says No when a row that can say No
@@ -51,7 +53,7 @@ records keep the frame they fired in (R-QUOT-NEC's is the untwisted one).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from ._frozen import validated_make
@@ -172,17 +174,17 @@ def _negative_witness(
         return None if comp.holds else ("curve threshold", (comp,))
     frame, = canonical_frames(Q, D)
     for rule in _SCREEN_RULES:
-        outcome, _, comps = rule.decide(frame)
-        if outcome is Outcome.NO:
-            return rule.rule_id, comps
+        firing = rule.evaluate(frame)
+        if firing.outcome is Outcome.NO:
+            return firing.rule_id, firing.comparisons
     return None
 
 
-def _quotient_firings(rule: Rule, whole: Frame, D: Divisor) -> list[RuleFiring]:
-    """R-QUOT-NEC's firings in the untwisted frame of a bundle it applies
-    to, one per screened sub-sum."""
+def _quotient_firings(decision: RuleFiring, E: Bundle, D: Divisor) -> list[RuleFiring]:
+    """R-QUOT-NEC's firings on a bundle it applies to, one per screened
+    sub-sum, in the frame of its decision (the untwisted one)."""
     firings = []
-    for Q in _proper_sub_multisets(whole.bundle):
+    for Q in _proper_sub_multisets(E):
         witness = _negative_witness(Q, D)
         if witness is None:
             outcome = Outcome.PASS
@@ -197,60 +199,51 @@ def _quotient_firings(rule: Rule, whole: Frame, D: Divisor) -> list[RuleFiring]:
         else:
             outcome, (rejecter, comps) = Outcome.NO, witness
             note = f"restriction to P({Q}) is rejected by {rejecter}: "
-        firing = rule.record(whole, outcome, Strength.NECESSARY, comps)
-        firings.append(firing._replace(note=note))
+        firings.append(RuleFiring(
+            decision.rule_id, decision.citation, Strength.NECESSARY, outcome,
+            decision.frame, comps, note,
+        ))
     return firings
 
 
 # -- decision, trail and merge -----------------------------------------------
 
-class _Decision(NamedTuple):
-    """One row decided in one frame: what Rule.decide returns there.  The
-    fields _merge reads are fields of a RuleFiring too."""
-
-    rule: Rule
-    frame: Frame
-    outcome: Outcome
-    strength: Optional[Strength]
-    comparisons: tuple[Comparison, ...]
-
-    @property
-    def rule_id(self) -> str:
-        return self.rule.rule_id
+# the trail finds R-QUOT-NEC by its id: a verdict keeps firings, not rows
+_QUOTIENT_ID = next(r.rule_id for r in VERY_AMPLE_RULES if r.special == "quotient")
 
 
 def _decide_catalog(
     rules: tuple[Rule, ...], E: Bundle, D: Divisor
-) -> list[_Decision]:
-    """Every row decided once, in the canonical frame.  R-QUOT-NEC is
-    decided in the untwisted frame, and its pass turns into No at the
-    first screened sub-sum with a negative witness."""
+) -> list[RuleFiring]:
+    """Every row's firing, each row evaluated once, in the canonical frame.
+    R-QUOT-NEC is evaluated in the untwisted frame, and its pass turns into
+    No at the first screened sub-sum with a negative witness."""
     frame, = canonical_frames(E, D)
     decisions = []
     for rule in rules:
         if rule.special == "quotient":
-            whole = Frame(0, E, D.a, D.b)
-            outcome, strength, comps = rule.decide(whole)
-            if outcome is Outcome.PASS and any(
+            firing = rule.evaluate(Frame(0, E, D.a, D.b))
+            if firing.outcome is Outcome.PASS and any(
                 _negative_witness(Q, D) is not None for Q in _proper_sub_multisets(E)
             ):
-                outcome = Outcome.NO
-            decisions.append(_Decision(rule, whole, outcome, strength, comps))
+                firing = firing._replace(outcome=Outcome.NO)
+            decisions.append(firing)
         else:
-            decisions.append(_Decision(rule, frame, *rule.decide(frame)))
+            decisions.append(rule.evaluate(frame))
     return decisions
 
 
-def _trail(decisions: Sequence[_Decision], D: Divisor) -> tuple[RuleFiring, ...]:
-    """The firings of decisions, sorted by rule id: each decision
-    recorded, except that an applicable R-QUOT-NEC becomes one firing per
-    screened sub-sum."""
+def _trail(
+    decisions: Sequence[RuleFiring], E: Bundle, D: Divisor
+) -> tuple[RuleFiring, ...]:
+    """The decisions sorted by rule id, with an applicable R-QUOT-NEC as
+    one firing per screened sub-sum."""
     firings: list[RuleFiring] = []
-    for rule, frame, outcome, strength, comps in decisions:
-        if rule.special == "quotient" and outcome is not Outcome.INAPPLICABLE:
-            firings.extend(_quotient_firings(rule, frame, D))
+    for f in decisions:
+        if f.rule_id == _QUOTIENT_ID and f.outcome is not Outcome.INAPPLICABLE:
+            firings.extend(_quotient_firings(f, E, D))
         else:
-            firings.append(rule.record(frame, outcome, strength, comps))
+            firings.append(f)
     firings.sort(key=lambda f: f.rule_id)
     return tuple(firings)
 
@@ -263,13 +256,12 @@ def _merge(
     property_name: str,
     E: Bundle,
     D: Divisor,
-    decisions: Sequence[_Decision],
+    decisions: Sequence[RuleFiring],
     lo: Optional[tuple[Fraction, bool]],
     trail: Callable[[], tuple[RuleFiring, ...]],
 ) -> Verdict:
-    """Bind the verdict on decisions, or on the firings of a trail, which
-    carry the same fields.  trail builds the firings the verdict shows when
-    they are read."""
+    """Bind the verdict on decisions, the firings each row returned.  trail
+    builds the firings the verdict shows when they are read."""
     s = pushforward_mu_minus(E, D.a, D.b)
     yes = [f for f in decisions if f.outcome is Outcome.YES]
     no = [f for f in decisions if f.outcome is Outcome.NO]
@@ -326,9 +318,7 @@ def _classify(
     lo: Optional[tuple[Fraction, bool]],
 ) -> Verdict:
     decisions = _decide_catalog(rules, E, D)
-    return _merge(
-        property_name, E, D, decisions, lo, lambda: _trail(decisions, D)
-    )
+    return _merge(property_name, E, D, decisions, lo, partial(_trail, decisions, E, D))
 
 
 def classify_very_ample(E: Bundle, D: Divisor) -> Verdict:

@@ -18,7 +18,7 @@ rules` prints.  The guard (`scope`) is a list of conditions, split at ", "
 and "; ".  Each case has a label, which is its condition, a strength (iff,
 sufficient or necessary) and its comparisons, such as "b + a/2 > 2".  In a
 frame where the guard holds, the first case whose condition holds decides
-the row (`Rule.decide`); the last case takes every frame left, so its label
+the row (`Rule.evaluate`); the last case takes every frame left, so its label
 is only printed.  Each text is parsed once, when the catalog is built, and
 an unknown phrase fails there.  A condition is a named one (`_NAMED`, such
 as "E ample" or "deg = 0 (mod rank)"), a count on a, the rank or the frame
@@ -42,12 +42,11 @@ under the same guard (s >= 3 by R-BUTLER's s > 2), or a necessary row whose
 every comparison R-QUOT-NEC makes on a single atom (the split rank-3
 thresholds), never changes a verdict, a window or a binding rule.
 
-Decision and record are separate: `Rule.decide` decides a row in a frame
-(guard, deciding case, comparisons) without building anything, and
-`Rule.record` keeps a decision as a RuleFiring that holds the comparisons;
-their text is rendered only when the trail is read.  `Rule.evaluate` is the
-two in one.  The engine decides each row once, merges on the decisions
-and records the same decisions when a trail is read.
+One method decides a row: `Rule.evaluate` returns its RuleFiring in a
+frame (guard, deciding case, comparisons), which is both the decision the
+engine merges on and the line the trail shows.  The comparisons are kept
+as numbers; their text is rendered only when the trail is read, and a
+failed guard's note is built once per row, when the row is.
 """
 
 from __future__ import annotations
@@ -186,42 +185,28 @@ class Rule(NamedTuple):
             for c in self.cases
         )
 
-    def decide(
-        self, frame: Frame
-    ) -> tuple[Outcome, Optional[Strength], tuple[Comparison, ...]]:
-        """(outcome, strength, comparisons) of the row in frame: the guard,
-        then the first case that holds, then its comparisons.  Nothing is
-        built or rendered; strength is None when the guard fails."""
+    def evaluate(self, frame: Frame) -> RuleFiring:
+        """The row's firing in frame: the guard, then the first case that
+        holds, then its comparisons.  Nothing is rendered; strength is None
+        when the guard fails."""
         if not self.applies(frame):
-            return Outcome.INAPPLICABLE, None, ()
+            return RuleFiring(
+                self.rule_id, self.citation, None, Outcome.INAPPLICABLE, frame.l,
+                (), _UNMET[self.scope],
+            )
         for case in self.cases:
             if case.when is None or case.when(frame):
                 break
         comps = case.comparisons(frame)
-        return _OUTCOMES[case.strength][all(c.holds for c in comps)], case.strength, comps
-
-    def record(
-        self, frame: Frame, outcome: Outcome, strength: Optional[Strength],
-        comps: tuple[Comparison, ...],
-    ) -> RuleFiring:
-        """The RuleFiring that keeps a decision this row made in frame."""
         return RuleFiring(
-            rule_id=self.rule_id,
-            citation=self.citation,
-            strength=strength,
-            outcome=outcome,
-            frame=frame.l,
-            comparisons=comps,
-            note=(
-                f"guard not met ({self.scope})"
-                if outcome is Outcome.INAPPLICABLE
-                else ""
-            ),
+            self.rule_id, self.citation, case.strength,
+            _OUTCOMES[case.strength][all(c.holds for c in comps)], frame.l, comps,
         )
 
-    def evaluate(self, frame: Frame) -> RuleFiring:
-        """decide, then record."""
-        return self.record(frame, *self.decide(frame))
+
+# "guard not met (<scope>)" by scope: built once per row, by _rule, rather
+# than once per inapplicable firing.
+_UNMET: dict[str, str] = {}
 
 
 # -- comparisons as data ------------------------------------------------------
@@ -332,10 +317,9 @@ def _rule(
     cases: tuple[Case, ...], special: Optional[str] = None,
 ) -> Rule:
     """A row whose guard is its `scope`: conditions split at ", " and "; "."""
-    return Rule(
-        rule_id, property_name, citation, scope, _compile(re.split("[,;] ", scope)),
-        cases, special,
-    )
+    applies = _compile(re.split("[,;] ", scope))
+    _UNMET[scope] = f"guard not met ({scope})"
+    return Rule(rule_id, property_name, citation, scope, applies, cases, special)
 
 
 def _cases(*cases: tuple[str, Strength, str]) -> tuple[Case, ...]:

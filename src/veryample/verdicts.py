@@ -6,10 +6,12 @@ and the full list of RuleFiring records (one per rule, including rules that
 did not apply, and one per screened quotient scroll).  Unknown verdicts carry the exact open interval of
 the slope invariant b + a*mu^-(E) in which the question is unsettled.
 
-The engine decides a verdict without building its records: a Verdict holds
-a `trail` callable, and the firings are built by it the first time
-`firings` is read, then kept.  Equality, hashing and repr of a Verdict
-leave the trail out.
+The firings a verdict binds on are the lines of its trail: a Verdict holds
+a `trail` callable over them, which the first read of `firings` calls to
+sort them and to screen R-QUOT-NEC's quotient scrolls, and whose result it
+keeps.  The engine's trail is a functools.partial over plain data, so a
+verdict pickles.  Equality, hashing and repr of a Verdict leave the trail
+out.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -299,6 +300,23 @@ class TestGrammarFuzz:
             assert err.getvalue().startswith(("error:", "usage:")), argv
         else:
             assert out.getvalue() and not err.getvalue(), argv
+        # the same argv to a full stdout: 4 where it wrote, the same code
+        # where it failed before writing, and never an exception
+        full_err = io.StringIO()
+        with redirect_stdout(_FullStdout()), redirect_stderr(full_err):
+            full_code = main(argv)
+        assert full_code == (4 if code == 0 else code), argv
+        if full_code == 4:
+            assert full_err.getvalue() == (
+                f"error: cannot write the output: {os.strerror(errno.ENOSPC)}\n"
+            ), argv
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full device: every write fails."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 class TestTable:

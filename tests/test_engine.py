@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -37,7 +38,6 @@ from veryample.rules import (
     GLOBALLY_GENERATED_RULES,
     NORMALLY_GENERATED_RULES,
     VERY_AMPLE_RULES,
-    Case,
     Frame,
     Rule,
 )
@@ -83,9 +83,9 @@ class TestFrames:
                     here, = canonical_frames(E, Divisor(a, b))
                     there = Frame(l, twisted, a, b - a * l)
                     for rule in rows:
-                        outcome, strength, _ = rule.decide(there)
-                        assert outcome is Outcome.INAPPLICABLE or (
-                            (outcome, strength) == rule.decide(here)[:2]
+                        f, g = rule.evaluate(there), rule.evaluate(here)
+                        assert f.outcome is Outcome.INAPPLICABLE or (
+                            (f.outcome, f.strength) == (g.outcome, g.strength)
                         ), (rule.rule_id, str(E), a, b)
                         decisions += 1
         assert decisions == 1_153_656
@@ -258,9 +258,9 @@ class TestGuards:
                     cell = [str(E), a, b]
                     for frame in (Frame(l, F, a, b - a * l) for l, F in twists):
                         for rule in ALL_RULES:
-                            outcome, strength, _ = rule.decide(frame)
-                            cell.append((rule.rule_id, frame.l, code[outcome], code[strength]))
-                            if strength is not None:
+                            f = rule.evaluate(frame)
+                            cell.append((rule.rule_id, frame.l, code[f.outcome], code[f.strength]))
+                            if f.strength is not None:
                                 applied[rule, frame.bundle] = frame
                     digest.update(repr(cell).encode())
         assert digest.hexdigest() == self.DECISION_DIGEST
@@ -334,7 +334,7 @@ class TestDecidedMerge:
                 for b in range(-5, 6):
                     D = Divisor(a, b)
                     decided = _classify(name, rules, E, D, lo)
-                    firings = _trail(_decide_catalog(rules, E, D), D)
+                    firings = _trail(_decide_catalog(rules, E, D), E, D)
                     recorded = _merge(name, E, D, firings, lo, trail=lambda: firings)
                     assert _summary(decided) == _summary(recorded), (str(E), a, b)
                     cells += 1
@@ -365,7 +365,7 @@ class TestLazyTrail:
         return calls
 
     def test_classify_builds_no_record_until_firings_is_read(self, monkeypatch):
-        recorded = self._count(monkeypatch, Rule, "record")
+        recorded = self._count(monkeypatch, engine, "_trail")
         screened = self._count(monkeypatch, engine, "_quotient_firings")
         # 2:0,2:1 at a = 2, b = 2: the rank-2 sub-sum 2:0 is the witness
         E = parse_bundle("2:0,2:1")
@@ -379,17 +379,16 @@ class TestLazyTrail:
         assert verdicts[0].is_no and verdicts[0].binding_rule == "R-QUOT-NEC"
         assert (recorded, screened) == ([], [])
         trail = verdicts[0].firings
-        assert len(screened) == 1 and recorded
-        before = len(recorded)
+        assert len(screened) == 1 and len(recorded) == 1
         assert verdicts[0].firings is trail
-        assert len(recorded) == before and len(screened) == 1
+        assert len(recorded) == 1 and len(screened) == 1
         D = Divisor(2, 2)
-        assert trail == _trail(_decide_catalog(VERY_AMPLE_RULES, E, D), D)
+        assert trail == _trail(_decide_catalog(VERY_AMPLE_RULES, E, D), E, D)
 
     def test_each_row_is_decided_once_per_frame(self, monkeypatch):
         # Unknown, so the window is read too: 17 rows in the canonical
         # frame and R-QUOT-NEC once, in the untwisted frame
-        decided = self._count(monkeypatch, Rule, "decide")
+        decided = self._count(monkeypatch, Rule, "evaluate")
         v = classify_very_ample(parse_bundle("3:2"), Divisor(2, 0))
         assert v.is_unknown and v.unknown_window.render() == "(0, 4/3]"
         per_frame = Counter((rule.rule_id, frame.l) for rule, frame in decided)
@@ -405,6 +404,17 @@ class TestLazyTrail:
         assert "trail" not in repr(v) and "firings" not in repr(v)
         v.firings
         assert v == w and repr(v) == repr(w)
+
+    def test_verdict_pickles_before_and_after_its_trail_is_read(self):
+        # R-QUOT-NEC says No: the trail screens the sub-sums again when read
+        E, D = parse_bundle("1:2,2:3"), Divisor(2, -2)
+        for v in (classify_very_ample(E, D), classify_globally_generated(E, D)):
+            unread = pickle.loads(pickle.dumps(v))
+            firings = v.firings
+            read = pickle.loads(pickle.dumps(v))
+            assert unread == v and read == v
+            assert unread.firings == firings and read.firings == firings
+        assert classify_very_ample(E, D).binding_rule == "R-QUOT-NEC"
 
     def test_quotient_screen_stops_at_the_first_witness(self, monkeypatch):
         # 12 distinct lines: the first screened sub-sum, the lowest line
@@ -492,7 +502,7 @@ class TestQuotientScreen:
             rule.rule_id
             for frame in canonical_frames(Q, D)
             for rule in engine._SCREEN_RULES
-            if rule.decide(frame)[0] is Outcome.NO
+            if rule.evaluate(frame).outcome is Outcome.NO
         }
         assert saying_no <= _PRUNING_ROWS, (str(Q), a, b)
         if saying_no and a >= 1:
@@ -563,15 +573,8 @@ class TestMergeContract:
             self._firing("R-SYNTH-B", Strength.NECESSARY, Outcome.NO),
         )
         E, D = parse_bundle("2:1"), Divisor(2, 1)
-        frame = canonical_frames(E, D)[0]
-        decisions = [
-            engine._Decision(
-                Rule(f.rule_id, "very_ample", f.citation, "synthetic", lambda fr: True,
-                     (Case("", None, f.strength, "synthetic", lambda fr: ()),)),
-                frame, f.outcome, f.strength, f.comparisons,
-            )
-            for f in firings
-        ]
+        # as the rows return them: the trail's note is not on the decisions
+        decisions = [f._replace(note="") for f in firings]
         with pytest.raises(ContradictionError) as decided:
             _merge("very_ample", E, D, decisions, lo=(Fraction(0), True),
                    trail=lambda: firings)
