@@ -168,4 +168,5 @@ def pushforward_mu_minus(E: Bundle, a: int, b: int) -> Fraction:
     curve, so the minimal HN slope scales linearly through S^a and shifts
     by the fiber twist.
     """
-    return a * E.mu_minus + b
+    low = E.slope_ends[0]
+    return Fraction(a * low.degree + b * low.rank, low.rank)

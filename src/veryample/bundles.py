@@ -98,14 +98,14 @@ class HNStage(NamedTuple):
 class Bundle(Frozen):
     """A direct sum of atoms; the multiset is kept in canonical sorted order.
 
-    rank, degree, slope, mu_minus, mu_plus, is_ample and is_indecomposable
-    are each computed on their first read (`_DERIVED`) and kept in their
-    slot.
+    rank, degree, slope, slope_ends, mu_minus, mu_plus, is_ample and
+    is_indecomposable are each computed on their first read (`_DERIVED`) and
+    kept in their slot; a pickle carries the atoms only.
     """
 
     __slots__ = (
-        "atoms", "_hash", "rank", "degree", "slope", "mu_minus", "mu_plus", "is_ample",
-        "is_indecomposable",
+        "atoms", "_hash", "rank", "degree", "slope", "slope_ends", "mu_minus", "mu_plus",
+        "is_ample", "is_indecomposable",
     )
     _fields = ("atoms",)
 
@@ -141,6 +141,9 @@ class Bundle(Frozen):
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return Bundle, (self.atoms,)
+
     @property
     def is_semistable(self) -> bool:
         return self.mu_minus == self.mu_plus
@@ -167,17 +170,29 @@ class Bundle(Frozen):
         return ",".join(str(atom) for atom in self.atoms)
 
 
+def _slope_ends(E: Bundle) -> tuple[IndecBundle, IndecBundle]:
+    """The first atoms of least and greatest slope: one scan, in integers."""
+    lo = hi = E.atoms[0]
+    for atom in E.atoms[1:]:
+        if atom.degree * lo.rank < lo.degree * atom.rank:
+            lo = atom
+        elif atom.degree * hi.rank > hi.degree * atom.rank:
+            hi = atom
+    return lo, hi
+
+
 _DERIVED = {
     "rank": lambda E: sum(atom.rank for atom in E.atoms),
     "degree": lambda E: sum(atom.degree for atom in E.atoms),
     "slope": lambda E: Fraction(E.degree, E.rank),
+    "slope_ends": _slope_ends,
     # the minimal slope among the atoms: the slope of the last HN quotient
-    "mu_minus": lambda E: min(atom.slope for atom in E.atoms),
+    "mu_minus": lambda E: E.slope_ends[0].slope,
     # the maximal slope among the atoms: the slope of the first HN piece.
     # For a direct sum the maximal subsheaf slope is attained on a single
     # atom (any sub-sum slope is a mediant, hence <= the largest atom
     # slope), so the max over atoms is exact.
-    "mu_plus": lambda E: max(atom.slope for atom in E.atoms),
+    "mu_plus": lambda E: E.slope_ends[1].slope,
     # ample iff every atom has positive degree (Hartshorne, genus one)
     "is_ample": lambda E: all(atom.degree > 0 for atom in E.atoms),
     "is_indecomposable": lambda E: len(E.atoms) == 1,

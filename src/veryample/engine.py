@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ._frozen import validated_make
 from .atiyah import pushforward_mu_minus
@@ -71,6 +71,7 @@ from .rules import (
 )
 from .verdicts import (
     Comparison,
+    DeferredComparisons,
     Outcome,
     RuleFiring,
     Status,
@@ -156,22 +157,20 @@ def _proper_sub_multisets(E: Bundle) -> tuple[Bundle, ...]:
     return tuple(sorted(subs, key=lambda Q: (Q.rank, Q.atoms)))
 
 
-def _curve_comparison(Q: Bundle, D: Divisor) -> Comparison:
+def _curve_comparisons(Q: Bundle, D: Divisor) -> tuple[Comparison]:
     # restriction to the section cut by a line-bundle sub-sum lands on the
     # base curve, where very ample means degree >= 3
-    return Comparison(
-        f"b + a*deg({Q})", Fraction(D.b + D.a * Q.degree), ">=", Fraction(3)
-    )
+    return (Comparison(f"b + a*deg({Q})", Fraction(D.b + D.a * Q.degree), ">=", Fraction(3)),)
 
 
 def _negative_witness(
     Q: Bundle, D: Divisor
-) -> Optional[tuple[str, tuple[Comparison, ...]]]:
-    """The name and comparisons of the first negative-capable row that
-    rejects the restriction to P(Q), or None when none does."""
-    if Q.rank == 1:
-        comp = _curve_comparison(Q, D)
-        return None if comp.holds else ("curve threshold", (comp,))
+) -> Optional[tuple[str, Iterable[Comparison]]]:
+    """The name and (deferred) comparisons of the first negative-capable row
+    that rejects the restriction to P(Q), or None when none does."""
+    if Q.rank == 1:  # _curve_comparisons, decided in integers
+        return None if D.b + D.a * Q.degree >= 3 else (
+            "curve threshold", DeferredComparisons(_curve_comparisons, Q, D))
     frame, = canonical_frames(Q, D)
     for rule in _SCREEN_RULES:
         firing = rule.evaluate(frame)
@@ -189,19 +188,15 @@ def _quotient_firings(decision: RuleFiring, E: Bundle, D: Divisor) -> list[RuleF
         if witness is None:
             outcome = Outcome.PASS
             note = f"restriction to P({Q}): no negative rule applies; "
-            comps = (
-                _curve_comparison(Q, D)
-                if Q.rank == 1
-                else Comparison(
-                    f"b + a*mu^-({Q})", D.b + D.a * Q.mu_minus, ">", Fraction(0)
-                ),
-            )
+            comps = _curve_comparisons(Q, D) if Q.rank == 1 else (Comparison(
+                f"b + a*mu^-({Q})", pushforward_mu_minus(Q, D.a, D.b), ">", Fraction(0)
+            ),)
         else:
             outcome, (rejecter, comps) = Outcome.NO, witness
             note = f"restriction to P({Q}) is rejected by {rejecter}: "
         firings.append(RuleFiring(
             decision.rule_id, decision.citation, Strength.NECESSARY, outcome,
-            decision.frame, comps, note,
+            decision.frame, tuple(comps), note,
         ))
     return firings
 
@@ -236,14 +231,14 @@ def _decide_catalog(
 def _trail(
     decisions: Sequence[RuleFiring], E: Bundle, D: Divisor
 ) -> tuple[RuleFiring, ...]:
-    """The decisions sorted by rule id, with an applicable R-QUOT-NEC as
-    one firing per screened sub-sum."""
+    """The decisions sorted by rule id, with their comparisons built, and
+    with an applicable R-QUOT-NEC as one firing per screened sub-sum."""
     firings: list[RuleFiring] = []
     for f in decisions:
         if f.rule_id == _QUOTIENT_ID and f.outcome is not Outcome.INAPPLICABLE:
             firings.extend(_quotient_firings(f, E, D))
         else:
-            firings.append(f)
+            firings.append(f._replace(comparisons=tuple(f.comparisons)))
     firings.sort(key=lambda f: f.rule_id)
     return tuple(firings)
 
@@ -257,7 +252,7 @@ def _merge(
     E: Bundle,
     D: Divisor,
     decisions: Sequence[RuleFiring],
-    lo: Optional[tuple[Fraction, bool]],
+    lo: Optional[tuple[int, bool]],
     trail: Callable[[], tuple[RuleFiring, ...]],
 ) -> Verdict:
     """Bind the verdict on decisions, the firings each row returned.  trail
@@ -289,12 +284,12 @@ def _merge(
     # a sufficient s > t leaves (.., t] open, and s >= t leaves (.., t)
     hi = min(
         ((c.rhs, c.op == ">") for f in decisions
-         if f.strength is Strength.SUFFICIENT and len(f.comparisons) == 1
-         and (c := f.comparisons[0]).label == S_LABEL),
+         if f.strength is Strength.SUFFICIENT
+         and len(cs := tuple(f.comparisons)) == 1 and (c := cs[0]).label == S_LABEL),
         default=None,
     )
     window = Window(
-        lo=lo[0] if lo else None,
+        lo=Fraction(lo[0]) if lo else None,
         lo_strict=lo[1] if lo else True,
         hi=hi[0] if hi else None,
         hi_inclusive=hi[1] if hi else False,
@@ -315,7 +310,7 @@ def _classify(
     rules: tuple[Rule, ...],
     E: Bundle,
     D: Divisor,
-    lo: Optional[tuple[Fraction, bool]],
+    lo: Optional[tuple[int, bool]],
 ) -> Verdict:
     decisions = _decide_catalog(rules, E, D)
     return _merge(property_name, E, D, decisions, lo, partial(_trail, decisions, E, D))
@@ -325,7 +320,7 @@ def classify_very_ample(E: Bundle, D: Divisor) -> Verdict:
     """Three-valued very-ampleness verdict; its full firing trail is built
     when `firings` is first read."""
     _require_projective_bundle(E)
-    return _classify("very_ample", VERY_AMPLE_RULES, E, D, lo=(Fraction(0), True))
+    return _classify("very_ample", VERY_AMPLE_RULES, E, D, lo=(0, True))
 
 
 def classify_ample(E: Bundle, D: Divisor) -> bool:

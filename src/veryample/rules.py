@@ -24,18 +24,21 @@ an unknown phrase fails there.  A condition is a named one (`_NAMED`, such
 as "E ample" or "deg = 0 (mod rank)"), a count on a, the rank or the frame
 degree ("a >= 2", "rank 4"), "P needs Q and R" (P implies Q and R), or a
 comparison; a guard, or a case's condition, compiles into one function of
-the frame (`_compile`).  A comparison's left-hand side names an entry of `_LHS`, one
-function of the frame per label, each affine in (a, b), and its right-hand
-side is a number or an entry of `_RHS`, the three that depend on the rank.
-Everything else is derived from the cases: the row's strength (its first
-case's), the label and condition text `veryample rules` prints, the rows
-that screen the quotient scrolls for R-QUOT-NEC (every row whose strength
-is not sufficient), and the upper end of an Unknown window, which the
-engine reads off each applicable sufficient row whose only comparison is on
-s (`S_LABEL`): `s > t` leaves (.., t] open and `s >= t` leaves (.., t)
-open.  Two rows compare more than their text: R-A1-DEC compares every
-summand, so its one case keeps a function, and R-QUOT-NEC is decided by
-the engine's quotient screen (`special="quotient"`).
+the frame (`_compile`).  Everything else is derived from the cases: the
+row's strength (its first case's), the label and condition text `veryample
+rules` prints, the rows that screen the quotient scrolls for R-QUOT-NEC
+(every row whose strength is not sufficient), and the upper end of an
+Unknown window, which the engine reads off each applicable sufficient row
+whose only comparison is on s (`S_LABEL`): `s > t` leaves (.., t] open and
+`s >= t` leaves (.., t) open.  Two rows compare more than their text:
+R-A1-DEC compares every summand, so its one case is compiled by hand, and
+R-QUOT-NEC is decided by the engine's quotient screen (`special="quotient"`).
+
+Comparisons are affine data: a left-hand side is an `_LHS` (beta, k, m),
+beta*b + k*a + m with k and m integer pairs of the frame (`_QUANTITY`), and
+a right-hand side a number or an `_RHS` pair.  Each is decided in integers,
+cross-multiplied over positive denominators in a compiled function, and
+built as a Comparison only when the trail, a window or a witness reads it.
 
 Only rows that can bind are kept.  A sufficient row implied by another
 under the same guard (s >= 3 by R-BUTLER's s > 2), or a necessary row whose
@@ -44,22 +47,22 @@ thresholds), never changes a verdict, a window or a binding rule.
 
 One method decides a row: `Rule.evaluate` returns its RuleFiring in a
 frame (guard, deciding case, comparisons), which is both the decision the
-engine merges on and the line the trail shows.  The comparisons are kept
-as numbers; their text is rendered only when the trail is read, and a
-failed guard's note is built once per row, when the row is.
+engine merges on and the line the trail shows.  A failed guard's note is
+built once per row, when the row is.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from ._frozen import Frozen
 # unused here; kept because perfbench/tracing.py wraps rules.sym_power_split
 from .atiyah import sym_power_split  # noqa: F401
 from .bundles import Bundle
-from .verdicts import Comparison, Outcome, RuleFiring, Strength
+from .verdicts import Comparison, DeferredComparisons, Outcome, RuleFiring, Strength
 
 __all__ = [
     "Case",
@@ -78,10 +81,10 @@ class Frame(Frozen):
     """One divisor, seen in one twist frame: E(l) with b replaced by b - a*l.
 
     s = b + a*mu^-(E), invariant under change of frame, is computed once,
-    with the frame.
+    with the frame, as the integers sn/sd with sd > 0.
     """
 
-    __slots__ = ("l", "bundle", "a", "b", "s")
+    __slots__ = ("l", "bundle", "a", "b", "sn", "sd")
     _fields = ("l", "bundle", "a", "b")
 
     def __init__(self, l: int, bundle: Bundle, a: int, b: int) -> None:
@@ -89,31 +92,13 @@ class Frame(Frozen):
         object.__setattr__(self, "bundle", bundle)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "s", b + a * bundle.mu_minus)
+        low = bundle.slope_ends[0]
+        object.__setattr__(self, "sn", b * low.rank + a * low.degree)
+        object.__setattr__(self, "sd", low.rank)
 
     @property
-    def rank(self) -> int:
-        return self.bundle.rank
-
-    @property
-    def deg(self) -> int:
-        return self.bundle.degree
-
-    @property
-    def indec(self) -> bool:
-        return self.bundle.is_indecomposable
-
-    @property
-    def mu(self) -> Fraction:
-        return self.bundle.slope
-
-    @property
-    def mu_minus(self) -> Fraction:
-        return self.bundle.mu_minus
-
-    @property
-    def ample(self) -> bool:
-        return self.bundle.is_ample
+    def s(self) -> Fraction:
+        return Fraction(self.sn, self.sd)
 
 
 def rank3_exception(E: Bundle) -> bool:
@@ -125,7 +110,7 @@ def rank3_exception(E: Bundle) -> bool:
     line, two = E.atoms
     if (line.rank, two.rank) != (1, 2):
         return False
-    return two.degree % 2 == 1 and Fraction(line.degree) > Fraction(two.degree, 2)
+    return two.degree % 2 == 1 and 2 * line.degree > two.degree
 
 
 # A row's outcome from its strength in the frame, indexed by whether all of
@@ -137,17 +122,23 @@ _OUTCOMES = {
 }
 
 
+class Compiled(NamedTuple):
+    """A case's comparisons: `holds` decides all in integers, `build` builds."""
+
+    holds: Callable[[Frame], bool]
+    build: Callable[[Frame], tuple[Comparison, ...]]
+
+
 class Case(NamedTuple):
     """One case of a row: where it holds (`when`, parsed from `label`;
     None for every frame left), the strength it decides with there, and its
-    comparisons, as written (`text`) and as evaluated in a frame
-    (`comparisons`)."""
+    comparisons, as written (`text`) and as compiled (`comparisons`)."""
 
     label: str
     when: Optional[Callable[[Frame], bool]]
     strength: Strength
     text: str
-    comparisons: Callable[[Frame], tuple[Comparison, ...]]
+    comparisons: Compiled
 
 
 class Rule(NamedTuple):
@@ -186,9 +177,8 @@ class Rule(NamedTuple):
         )
 
     def evaluate(self, frame: Frame) -> RuleFiring:
-        """The row's firing in frame: the guard, then the first case that
-        holds, then its comparisons.  Nothing is rendered; strength is None
-        when the guard fails."""
+        """The row's firing in frame: the guard, the first case that holds and
+        its comparisons, built when read; strength None if the guard fails."""
         if not self.applies(frame):
             return RuleFiring(
                 self.rule_id, self.citation, None, Outcome.INAPPLICABLE, frame.l,
@@ -197,10 +187,10 @@ class Rule(NamedTuple):
         for case in self.cases:
             if case.when is None or case.when(frame):
                 break
-        comps = case.comparisons(frame)
         return RuleFiring(
             self.rule_id, self.citation, case.strength,
-            _OUTCOMES[case.strength][all(c.holds for c in comps)], frame.l, comps,
+            _OUTCOMES[case.strength][case.comparisons.holds(frame)], frame.l,
+            DeferredComparisons(case.comparisons.build, frame),
         )
 
 
@@ -215,49 +205,83 @@ _UNMET: dict[str, str] = {}
 # Unknown window off the sufficient decisions that compare nothing else.
 S_LABEL = "b + a*mu^-(E)"
 
-# Every left-hand side a comparison may name, by its label.
-_LHS: dict[str, Callable[[Frame], Fraction]] = {
-    "a": lambda fr: Fraction(fr.a),
-    S_LABEL: lambda fr: fr.s,
-    "b + mu^-(E)": lambda fr: fr.b + fr.mu_minus,
-    "b + mu(E)": lambda fr: fr.b + fr.mu,
-    "b + a*mu(E)": lambda fr: fr.b + fr.a * fr.mu,
-    "b + (a-1)*mu^-(E)": lambda fr: fr.b + (fr.a - 1) * fr.mu_minus,
-    "b + (a-1)*mu(E)": lambda fr: fr.b + (fr.a - 1) * fr.mu,
-    "b + a": lambda fr: Fraction(fr.b + fr.a),
-    "b + a/2": lambda fr: fr.b + Fraction(fr.a, 2),
-    "b + a/3": lambda fr: fr.b + Fraction(fr.a, 3),
-    "b + a/r": lambda fr: fr.b + Fraction(fr.a, fr.rank),
-    "b + 2a/r": lambda fr: fr.b + Fraction(2 * fr.a, fr.rank),
-    "b + a/(r-2)": lambda fr: fr.b + Fraction(fr.a, fr.rank - 2),
-    "b + a/(d-1)": lambda fr: fr.b + Fraction(fr.a, fr.deg - 1),
+# Each frame quantity, by name: its numerator and denominator (> 0 where defined) in `fr`.
+_QUANTITY: dict[str, tuple[str, str]] = {
+    "0": ("0", "1"),
+    "1": ("1", "1"),
+    "1/2": ("1", "2"),
+    "1/3": ("1", "3"),
+    "1/r": ("1", "fr.bundle.rank"),
+    "2/r": ("2", "fr.bundle.rank"),
+    "1/(r-2)": ("(1 if fr.bundle.rank > 2 else -1)", "abs(fr.bundle.rank - 2)"),
+    "1/(d-1)": ("(1 if fr.bundle.degree > 1 else -1)", "abs(fr.bundle.degree - 1)"),
+    "mu^-": ("fr.bundle.slope_ends[0].degree", "fr.sd"),
+    "mu": ("fr.bundle.degree", "fr.bundle.rank"),
 }
 
-# The right-hand sides that depend on the rank r; every other one is a number.
-_RHS: dict[str, Callable[[int], Fraction]] = {
-    "1 + 1/r": lambda r: 1 + Fraction(1, r),
-    "1 + 2/r": lambda r: 1 + Fraction(2, r),
-    "1 + 2/(r-1)": lambda r: 1 + Fraction(2, r - 1),
+# Each left-hand side, by label: (beta, k, m) for beta*b + k*a + m ("-q" is -q).
+_LHS: dict[str, tuple[int, str, str]] = {
+    "a": (0, "1", "0"),
+    S_LABEL: (1, "mu^-", "0"),
+    "b + mu^-(E)": (1, "0", "mu^-"),
+    "b + mu(E)": (1, "0", "mu"),
+    "b + a*mu(E)": (1, "mu", "0"),
+    "b + (a-1)*mu^-(E)": (1, "mu^-", "-mu^-"),
+    "b + (a-1)*mu(E)": (1, "mu", "-mu"),
+    "b + a": (1, "1", "0"),
+    "b + a/2": (1, "1/2", "0"),
+    "b + a/3": (1, "1/3", "0"),
+    "b + a/r": (1, "1/r", "0"),
+    "b + 2a/r": (1, "2/r", "0"),
+    "b + a/(r-2)": (1, "1/(r-2)", "0"),
+    "b + a/(d-1)": (1, "1/(d-1)", "0"),
+}
+
+# The right-hand sides in the rank r, as pairs like _QUANTITY's; others are numbers.
+_RHS: dict[str, tuple[str, str]] = {
+    "1 + 1/r": ("fr.bundle.rank + 1", "fr.bundle.rank"),
+    "1 + 2/r": ("fr.bundle.rank + 2", "fr.bundle.rank"),
+    "1 + 2/(r-1)": ("fr.bundle.rank + 1", "fr.bundle.rank - 1"),
 }
 
 
-class _Parsed(tuple):
-    """A case's comparisons, each parsed once into (label, lhs, op, rhs);
-    called on a frame, it evaluates them there."""
-
-    __slots__ = ()
-
-    def __call__(self, fr: Frame) -> tuple[Comparison, ...]:
-        return tuple([
-            Comparison(label, lhs(fr), op, rhs if rhs.__class__ is Fraction else rhs(fr.rank))
-            for label, lhs, op, rhs in self
-        ])
+def _times(*factors: str) -> str:
+    """The product of integer expressions, the factors 1 left out."""
+    if "0" in factors:
+        return "0"
+    return " * ".join(f"({f})" if " " in f else f for f in factors if f != "1") or "1"
 
 
-def _parse(text: str) -> tuple:
+def _parse(text: str) -> tuple[str, str, str, str, str, str]:
+    """A comparison's label, operator, and sides as expressions in `fr`: each
+    numerator and positive denominator, (beta*b*kd*md + kn*a*md + mn*kd) /
+    (kd*md) on the left."""
     op = ">=" if " >= " in text else ">"
     label, _, rhs = text.partition(f" {op} ")
-    return label, _LHS[label], op, _RHS[rhs] if rhs in _RHS else Fraction(rhs)
+    beta, k, m = _LHS[label]
+    (kn, kd), (mn, md) = _QUANTITY[k], _QUANTITY[m.lstrip("-")]
+    mn = f"-{mn}" if m.startswith("-") else mn
+    terms = (_times(str(beta), "fr.b", kd, md), _times(kn, "fr.a", md), _times(mn, kd))
+    num, den = " + ".join(t for t in terms if t != "0") or "0", _times(kd, md)
+    if label == S_LABEL:
+        num, den = "fr.sn", "fr.sd"  # the same s, kept by the frame
+    tn, td = _RHS[rhs] if rhs in _RHS else map(str, Fraction(rhs).as_integer_ratio())
+    return label, op, num, den, tn, td
+
+
+@lru_cache(maxsize=None)
+def _builder(text: str) -> Callable[[Frame], tuple[Comparison, ...]]:
+    """The comparisons of `text`, joined by " and ", built as Comparisons:
+    compiled on first use, as only a read of the comparisons needs it."""
+    comps = "".join(
+        f"Comparison({label!r}, Fraction({num}, {den}), {op!r}, Fraction({tn}, {td})), "
+        for label, op, num, den, tn, td in map(_parse, text.split(" and "))
+    )
+    return eval(f"lambda fr: ({comps})", {"Comparison": Comparison, "Fraction": Fraction})
+
+
+def _build(text: str, fr: Frame) -> tuple[Comparison, ...]:
+    return _builder(text)(fr)
 
 
 # -- conditions as data -------------------------------------------------------
@@ -266,15 +290,15 @@ def _parse(text: str) -> tuple:
 # comparison, as the expression in the frame `fr` it compiles to.
 _NAMED: dict[str, str] = {
     "every divisor": "True",
-    "indecomposable": "fr.indec",
-    "decomposable": "not fr.indec",
-    "E ample": "fr.ample",
-    "deg even": "fr.deg % 2 == 0",
-    "deg = 0 (mod rank)": "fr.deg % fr.rank == 0",
-    "deg = 0 (mod 3)": "fr.deg % 3 == 0",
-    "deg = 1 (mod 3)": "fr.deg % 3 == 1",
-    "4 <= frame degree < rank": "4 <= fr.deg < fr.rank",
-    "rank = degree + 1": "fr.rank == fr.deg + 1",
+    "indecomposable": "fr.bundle.is_indecomposable",
+    "decomposable": "not fr.bundle.is_indecomposable",
+    "E ample": "fr.bundle.is_ample",
+    "deg even": "fr.bundle.degree % 2 == 0",
+    "deg = 0 (mod rank)": "fr.bundle.degree % fr.bundle.rank == 0",
+    "deg = 0 (mod 3)": "fr.bundle.degree % 3 == 0",
+    "deg = 1 (mod 3)": "fr.bundle.degree % 3 == 1",
+    "4 <= frame degree < rank": "4 <= fr.bundle.degree < fr.bundle.rank",
+    "rank = degree + 1": "fr.bundle.rank == fr.bundle.degree + 1",
     "outside the exceptional family": "not rank3_exception(fr.bundle)",
 }
 
@@ -282,24 +306,23 @@ _NAMED: dict[str, str] = {
 _COUNT = re.compile(r"(a|rank|frame degree) (?:(>=|=) )?(\d+)")
 
 
-def _expression(text: str, names: dict) -> str:
+def _expression(text: str) -> str:
     """The expression in `fr` of one condition: a named one, a count, "P
-    needs Q and R" (P implies Q and R) or a comparison, whose parsed form
-    goes into `names`.  An unknown phrase raises KeyError."""
+    needs Q and R" (P implies Q and R) or a comparison, cross-multiplied
+    over its positive denominators.  An unknown phrase raises KeyError."""
     if text in _NAMED:
         return f"({_NAMED[text]})"
     count = _COUNT.fullmatch(text)
     if count:
         name, op, n = count.groups()
-        attr = "deg" if name == "frame degree" else name
+        attr = {"a": "a", "rank": "bundle.rank", "frame degree": "bundle.degree"}[name]
         return f"fr.{attr} {'>=' if op == '>=' else '=='} {int(n)}"
     premise, needs, rest = text.partition(" needs ")
     if needs:
-        conclusion = " and ".join(_expression(t, names) for t in rest.split(" and "))
-        return f"(not {_expression(premise, names)} or {conclusion})"
-    name = f"_c{len(names)}"
-    names[name] = _Parsed([_parse(text)])
-    return f"{name}(fr)[0].holds"
+        conclusion = " and ".join(_expression(t) for t in rest.split(" and "))
+        return f"(not {_expression(premise)} or {conclusion})"
+    _, op, num, den, tn, td = _parse(text)
+    return f"({_times(num, td)} {op} {_times(tn, den)})"
 
 
 def _compile(texts: list[str]) -> Callable[[Frame], bool]:
@@ -307,9 +330,8 @@ def _compile(texts: list[str]) -> Callable[[Frame], bool]:
     function of the frame.  It costs what a hand-written lambda does, where
     a closure per condition would add a call per condition to every row
     decided in every frame."""
-    names: dict = {"rank3_exception": rank3_exception}
-    body = " and ".join(_expression(text, names) for text in texts)
-    return eval(f"lambda fr: {body}", names)
+    body = " and ".join(_expression(text) for text in texts)
+    return eval(f"lambda fr: {body}", {"rank3_exception": rank3_exception})
 
 
 def _rule(
@@ -328,7 +350,7 @@ def _cases(*cases: tuple[str, Strength, str]) -> tuple[Case, ...]:
     return tuple(
         Case(
             label, _compile([label]) if i < len(cases) - 1 else None, strength,
-            text, _Parsed(map(_parse, text.split(" and "))),
+            text, Compiled(_compile(text.split(" and ")), partial(_build, text)),
         )
         for i, (label, strength, text) in enumerate(cases)
     )
@@ -339,14 +361,10 @@ def _only(strength: Strength, text: str) -> tuple[Case, ...]:
     return _cases(("", strength, text))
 
 
-def _a1_dec_comps(fr: Frame) -> tuple[Comparison, ...]:
-    return tuple(
-        Comparison(
-            f"b + mu({atom})", fr.b + atom.slope, ">=",
-            Fraction(3 if atom.degree % atom.rank == 0 else 2),
-        )
-        for atom in fr.bundle.atoms
-    )
+def _a1_dec_sides(fr: Frame) -> list[tuple]:
+    # each summand A, the numerator of b + mu(A) over rank A, and its threshold
+    return [(A, fr.b * A.rank + A.degree, 3 if A.degree % A.rank == 0 else 2)
+            for A in fr.bundle.atoms]
 
 
 # -- the catalog --------------------------------------------------------------
@@ -397,7 +415,12 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         scope="a = 1, decomposable",
         cases=(
             Case("every summand", None, Strength.IFF,
-                 "b + mu(E_j) >= 3 when deg = 0 (mod rank), else >= 2", _a1_dec_comps),
+                 "b + mu(E_j) >= 3 when deg = 0 (mod rank), else >= 2",
+                 Compiled(
+                     lambda fr: all(n >= t * A.rank for A, n, t in _a1_dec_sides(fr)),
+                     lambda fr: tuple(Comparison(f"b + mu({A})", Fraction(n, A.rank), ">=",
+                                                 Fraction(t)) for A, n, t in _a1_dec_sides(fr)),
+                 )),
         ),
     ),
     _rule(
@@ -518,7 +541,7 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
                 "the restriction to P(Q) admits no negative rule (rank-1 Q: "
                 "b + a*deg(Q) >= 3); screened on the Q that can fail first: "
                 "the lowest line and each non-line atom",
-                lambda fr: (),
+                Compiled(lambda fr: True, lambda fr: ()),
             ),
         ),
         special="quotient",

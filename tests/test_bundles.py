@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import pickle
 import re
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from veryample import (
     Window,
     parse_bundle,
 )
+from veryample import bundles as bundles_module
 from veryample.rules import Case
 
 from conftest import bundles, small_bundles
@@ -274,6 +276,26 @@ class TestValueTypes:
             with pytest.raises(AttributeError):
                 setattr(x, name, 0)
         assert repr(x) == text
+
+    def test_a_bundle_pickles_its_atoms_only(self):
+        def derived(B):
+            # read each slot past Bundle.__getattr__, which would derive it
+            found = []
+            for name in bundles_module._DERIVED:
+                try:
+                    Bundle.__dict__[name].__get__(B)
+                except AttributeError:
+                    continue
+                found.append(name)
+            return found
+
+        E = parse_bundle("1:2,2:3")
+        data = pickle.dumps(E)
+        assert derived(E) == []
+        F = pickle.loads(data)
+        assert F == E and hash(F) == hash(E) and derived(F) == []
+        assert (F.rank, F.mu_minus, F.mu_plus) == (3, Fraction(3, 2), 2)
+        assert pickle.dumps(F) == data  # derived slots never travel
 
     def test_atom_order_and_canonical_sum(self):
         atoms = [IndecBundle(2, -1), IndecBundle(1, 5), IndecBundle(1, -3), IndecBundle(2, -4)]

@@ -293,6 +293,91 @@ class TestGuards:
             rules._cases((label, Strength.IFF, "a >= 1"), ("otherwise", Strength.IFF, "a >= 1"))
 
 
+# Each left-hand side of `rules._LHS` and right-hand side of `rules._RHS`,
+# written out as a Fraction of (E, a, b) in the frame; ZeroDivisionError
+# where it is undefined.
+def _mu_minus(E):
+    return min(Fraction(A.degree, A.rank) for A in E.atoms)
+
+
+LHS_FORMULAS = {
+    "a": lambda E, a, b: Fraction(a),
+    "b + a*mu^-(E)": lambda E, a, b: b + a * _mu_minus(E),
+    "b + mu^-(E)": lambda E, a, b: b + _mu_minus(E),
+    "b + mu(E)": lambda E, a, b: b + Fraction(E.degree, E.rank),
+    "b + a*mu(E)": lambda E, a, b: b + a * Fraction(E.degree, E.rank),
+    "b + (a-1)*mu^-(E)": lambda E, a, b: b + (a - 1) * _mu_minus(E),
+    "b + (a-1)*mu(E)": lambda E, a, b: b + (a - 1) * Fraction(E.degree, E.rank),
+    "b + a": lambda E, a, b: Fraction(b + a),
+    "b + a/2": lambda E, a, b: b + Fraction(a, 2),
+    "b + a/3": lambda E, a, b: b + Fraction(a, 3),
+    "b + a/r": lambda E, a, b: b + Fraction(a, E.rank),
+    "b + 2a/r": lambda E, a, b: b + Fraction(2 * a, E.rank),
+    "b + a/(r-2)": lambda E, a, b: b + Fraction(a, E.rank - 2),
+    "b + a/(d-1)": lambda E, a, b: b + Fraction(a, E.degree - 1),
+}
+RHS_FORMULAS = {
+    "1 + 1/r": lambda E: 1 + Fraction(1, E.rank),
+    "1 + 2/r": lambda E: 1 + Fraction(2, E.rank),
+    "1 + 2/(r-1)": lambda E: 1 + Fraction(2, E.rank - 1),
+}
+
+
+class TestIntegerDecision:
+    """Each comparison is decided in integers and built as Fractions only
+    when read; both must say the same."""
+
+    def test_integer_decision_is_the_rendered_one(self):
+        rows = [rule for rule in ALL_RULES if rule.special is None]
+        applied = 0
+        for E in TestGuards.SWEEP + small_bundles(4, 2):
+            for a in range(0, 7):
+                for b in range(-9, 9):
+                    frame, = canonical_frames(E, Divisor(a, b))
+                    for rule in rows:
+                        f = rule.evaluate(frame)
+                        if f.strength is None:
+                            continue
+                        holds = all(c.holds for c in f.comparisons)
+                        assert f.outcome is rules._OUTCOMES[f.strength][holds], (
+                            rule.rule_id, str(E), a, b)
+                        applied += 1
+        assert applied == 336_952
+
+    @staticmethod
+    def _check(frame, label, text, lhs, op, rhs):
+        _, _, num, den, _, _ = rules._parse(text)
+        num, den = eval(num, {"fr": frame}), eval(den, {"fr": frame})
+        assert den > 0 and Fraction(num, den) == lhs, text
+        expected = lhs > rhs if op == ">" else lhs >= rhs
+        assert rules._compile([text])(frame) is expected, text
+        built, = rules._builder(text)(frame)
+        assert (built.lhs, built.op, built.rhs, built.holds) == (lhs, op, rhs, expected), text
+
+    @settings(max_examples=300, derandomize=True)
+    @given(bundles(min_rank=1, max_rank=8), st.integers(-6, 6), st.integers(-40, 40),
+           st.integers(-40, 40), st.fractions(-20, 20, max_denominator=12),
+           st.sampled_from([">", ">="]))
+    def test_each_side_is_the_fraction_it_names(self, E, l, a, b, t, op):
+        # every frame: any twist, any rank, a and b of either sign
+        frame = Frame(l, E.twist(l), a, b - a * l)
+        F, fb = frame.bundle, frame.b
+        assert set(LHS_FORMULAS) == set(rules._LHS)
+        assert set(RHS_FORMULAS) == set(rules._RHS)
+        for label, formula in LHS_FORMULAS.items():
+            try:
+                lhs = formula(F, a, fb)
+            except ZeroDivisionError:
+                continue
+            self._check(frame, label, f"{label} {op} {t}", lhs, op, t)
+        for rhs, formula in RHS_FORMULAS.items():
+            try:
+                threshold = formula(F)
+            except ZeroDivisionError:
+                continue
+            self._check(frame, "b + a", f"b + a {op} {rhs}", fb + a, op, threshold)
+
+
 # five to seven atoms, mostly lines, repeated atoms included: the full
 # enumeration sees their sub-sums of rank 1..6, rejected by the curve
 # threshold and by seven rows, where the screen visits single atoms only
@@ -415,6 +500,50 @@ class TestLazyTrail:
             assert unread == v and read == v
             assert unread.firings == firings and read.firings == firings
         assert classify_very_ample(E, D).binding_rule == "R-QUOT-NEC"
+
+    # a cell where each very-ample row binds, and R-QUOT-NEC with a line
+    # witness (1:0) and with a rank-2 witness (2:0)
+    BINDING_CELLS = [
+        ("R-FIBER", "2:1", 0, 3), ("R-MIYAOKA", "1:0,2:-1", 2, -10),
+        ("R-BUTLER", "1:0,2:-1", 2, 4), ("R-D0MODR", "2:-2", 2, 5),
+        ("R-A1-INDEC", "2:1", 1, 2), ("R-A1-DEC", "1:2,2:3", 1, 1),
+        ("R-RK2-INDEC", "2:1", 2, 1), ("R-RK2-DEC", "1:0,1:1", 2, 3),
+        ("R-RK3-INDEC", "3:-2", 2, 3), ("R-RK3-DEC", "1:0,1:0,1:1", 2, 0),
+        ("R-R4D3", "4:-1", 2, 2), ("R-D3ANYR", "1:1,3:-2", 3, 4),
+        ("R-D2-INDEC", "5:2", 5, 0), ("R-D2-DEC", "1:0,3:-2", 3, 4),
+        ("R-D1-INDEC", "4:1", 3, 1), ("R-DGE4", "13:4", 13, -2),
+        ("R-RD1", "5:4", 5, -2), ("R-QUOT-NEC", "1:0,2:-1", 2, 2),
+        ("R-QUOT-NEC", "2:0,2:1", 2, 2),
+    ]
+
+    def test_a_decided_cell_builds_one_fraction_and_no_comparison(self, monkeypatch):
+        built = {"Fraction": 0, "Comparison": 0}
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                built[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted if name == "__new__" else classmethod(
+                lambda cls, *args: counted(*args)))
+
+        count(Fraction, "__new__", "Fraction")
+        if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 arithmetic
+            count(Fraction, "_from_coprime_ints", "Fraction")
+        count(rules.Comparison, "__new__", "Comparison")
+        assert {r.rule_id for r in VERY_AMPLE_RULES} == {c[0] for c in self.BINDING_CELLS}
+        for rule_id, text, a, b in self.BINDING_CELLS:
+            E = parse_bundle(text)
+            built.update(Fraction=0, Comparison=0)
+            v = classify_very_ample(E, Divisor(a, b))
+            assert not v.is_unknown and v.binding_rule == rule_id, (text, a, b)
+            assert built == {"Fraction": 1, "Comparison": 0}, (rule_id, text, a, b)
+            assert v.slope_invariant == pushforward_mu_minus(E, a, b)
+            built.update(Fraction=0, Comparison=0)
+            v.firings
+            assert built["Comparison"] > 0, (rule_id, text, a, b)
 
     def test_quotient_screen_stops_at_the_first_witness(self, monkeypatch):
         # 12 distinct lines: the first screened sub-sum, the lowest line
