@@ -47,7 +47,7 @@ from .engine import (
     classify_very_ample,
 )
 from .errors import DomainError, H0UndefinedError
-from .rules import ALL_RULES
+from .rules import ALL_RULES, RULES_BY_ID
 from .verdicts import Verdict, frac_json, frac_text
 
 __all__ = ["main"]
@@ -59,8 +59,6 @@ _MAX_TABLE_SCREEN = 2**18  # a table's cells times its bundle's distinct atoms
 _FOLD_FLAGS = ("--a", "--b", "--bundle")
 _INT_RE = re.compile(r"^-?\d+$")
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
-
-_RULES_BY_ID = {rule.rule_id: rule for rule in ALL_RULES}
 
 
 class UsageError(Exception):
@@ -175,7 +173,7 @@ def cmd_classify(ns: argparse.Namespace) -> int:
     print(f"slope invariant b + a*mu^-(E): {frac_text(verdict.slope_invariant)}")
     print(f"status: {verdict.status}")
     if verdict.binding_rule is not None:
-        rule = _RULES_BY_ID[verdict.binding_rule]
+        rule = RULES_BY_ID[verdict.binding_rule]
         print(f"strength: {verdict.strength.value}")
         print(f"binding rule: {rule.rule_id} ({rule.citation})")
         print(f"  anchor: {rule.statement}")

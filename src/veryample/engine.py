@@ -7,14 +7,22 @@ simultaneous Yes and No is not a tie to break: it means the catalog is
 transcribed wrong, and it raises ContradictionError instead of returning
 anything.
 
-One path per row.  Each row is decided once, by `Rule.evaluate`, whose
+One path per row.  A catalog decides once per canonical bundle which rows
+the bundle admits (`Catalog.admission`, from each guard's bundle part): a
+row it excludes is inapplicable in every cell on that bundle.  A cell
+evaluates only the admitted rows, each once, by `Rule.evaluate`, whose
 RuleFiring is both the decision and the trail line; R-QUOT-NEC too: it is
 No as soon as one screened sub-sum Q has a negative witness, so its screen
-stops there.  The verdict binds on these firings, reads its Unknown window
-off them, and keeps them: the first read of its `firings` sorts them by
-rule id as the trail, in which only R-QUOT-NEC is screened again, for one
+stops there, and each Q is screened by the rows Q admits.  The verdict
+binds on these firings and reads its Unknown window off them; an excluded
+row says neither yes nor no and compares nothing, so it would change
+neither.  The verdict keeps the firings and the excluded rows' ids: the
+first read of its `firings` evaluates each excluded row in its frame, sorts
+all of them by rule id as the trail, and screens R-QUOT-NEC again, for one
 firing per screened sub-sum.  What a verdict keeps for its trail is plain
-data, so a verdict pickles.
+data, so a verdict pickles.  R-QUOT-NEC is evaluated in the untwisted frame
+but admitted on the canonical bundle: its bundle part, "decomposable", is
+the same in every twist.
 
 The quotient screen.  R-QUOT-NEC restricts D to the quotient scrolls P(Q),
 Q a proper sub-sum of E's atoms, and says No when a row that can say No
@@ -64,8 +72,10 @@ from .rules import (
     AMPLE_RULES,
     GLOBALLY_GENERATED_RULES,
     NORMALLY_GENERATED_RULES,
+    RULES_BY_ID,
     S_LABEL,
     VERY_AMPLE_RULES,
+    Catalog,
     Frame,
     Rule,
 )
@@ -140,7 +150,7 @@ def canonical_frames(E: Bundle, D: Divisor) -> tuple[Frame, ...]:
 
 # Rows that can output No; sufficient-only rows are pointless when screening
 # restrictions for a negative witness.
-_SCREEN_RULES = tuple(
+_SCREEN_RULES = Catalog(
     r for r in VERY_AMPLE_RULES
     if r.strength is not Strength.SUFFICIENT and r.special != "quotient"
 )
@@ -167,12 +177,13 @@ def _negative_witness(
     Q: Bundle, D: Divisor
 ) -> Optional[tuple[str, Iterable[Comparison]]]:
     """The name and (deferred) comparisons of the first negative-capable row
-    that rejects the restriction to P(Q), or None when none does."""
+    that rejects the restriction to P(Q), or None when none does.  Only the
+    rows Q's canonical frame admits are evaluated."""
     if Q.rank == 1:  # _curve_comparisons, decided in integers
         return None if D.b + D.a * Q.degree >= 3 else (
             "curve threshold", DeferredComparisons(_curve_comparisons, Q, D))
     frame, = canonical_frames(Q, D)
-    for rule in _SCREEN_RULES:
+    for rule in _SCREEN_RULES.admission(frame.bundle)[0]:
         firing = rule.evaluate(frame)
         if firing.outcome is Outcome.NO:
             return firing.rule_id, firing.comparisons
@@ -207,34 +218,39 @@ def _quotient_firings(decision: RuleFiring, E: Bundle, D: Divisor) -> list[RuleF
 _QUOTIENT_ID = next(r.rule_id for r in VERY_AMPLE_RULES if r.special == "quotient")
 
 
+def _decide(rule: Rule, frame: Frame, E: Bundle, D: Divisor) -> RuleFiring:
+    """The row's firing in the canonical frame.  R-QUOT-NEC is evaluated in
+    the untwisted frame, and its pass turns into No at the first screened
+    sub-sum with a negative witness."""
+    if rule.special != "quotient":
+        return rule.evaluate(frame)
+    firing = rule.evaluate(Frame(0, E, D.a, D.b))
+    if firing.outcome is Outcome.PASS and any(
+        _negative_witness(Q, D) is not None for Q in _proper_sub_multisets(E)
+    ):
+        firing = firing._replace(outcome=Outcome.NO)
+    return firing
+
+
 def _decide_catalog(
-    rules: tuple[Rule, ...], E: Bundle, D: Divisor
-) -> list[RuleFiring]:
-    """Every row's firing, each row evaluated once, in the canonical frame.
-    R-QUOT-NEC is evaluated in the untwisted frame, and its pass turns into
-    No at the first screened sub-sum with a negative witness."""
+    rules: Catalog, E: Bundle, D: Divisor
+) -> tuple[list[RuleFiring], tuple[str, ...]]:
+    """The firing of each row the canonical frame's bundle admits, each row
+    evaluated once, and the ids of the rows it excludes."""
     frame, = canonical_frames(E, D)
-    decisions = []
-    for rule in rules:
-        if rule.special == "quotient":
-            firing = rule.evaluate(Frame(0, E, D.a, D.b))
-            if firing.outcome is Outcome.PASS and any(
-                _negative_witness(Q, D) is not None for Q in _proper_sub_multisets(E)
-            ):
-                firing = firing._replace(outcome=Outcome.NO)
-            decisions.append(firing)
-        else:
-            decisions.append(rule.evaluate(frame))
-    return decisions
+    admitted, excluded = rules.admission(frame.bundle)
+    return [_decide(rule, frame, E, D) for rule in admitted], excluded
 
 
 def _trail(
-    decisions: Sequence[RuleFiring], E: Bundle, D: Divisor
+    decisions: Sequence[RuleFiring], excluded: Sequence[str], E: Bundle, D: Divisor
 ) -> tuple[RuleFiring, ...]:
-    """The decisions sorted by rule id, with their comparisons built, and
-    with an applicable R-QUOT-NEC as one firing per screened sub-sum."""
+    """The decisions and the excluded rows' firings, sorted by rule id, with
+    their comparisons built, and with an applicable R-QUOT-NEC as one firing
+    per screened sub-sum."""
+    frame, = canonical_frames(E, D)
     firings: list[RuleFiring] = []
-    for f in decisions:
+    for f in (*decisions, *(_decide(RULES_BY_ID[i], frame, E, D) for i in excluded)):
         if f.rule_id == _QUOTIENT_ID and f.outcome is not Outcome.INAPPLICABLE:
             firings.extend(_quotient_firings(f, E, D))
         else:
@@ -307,13 +323,14 @@ def _merge(
 
 def _classify(
     property_name: str,
-    rules: tuple[Rule, ...],
+    rules: Catalog,
     E: Bundle,
     D: Divisor,
     lo: Optional[tuple[int, bool]],
 ) -> Verdict:
-    decisions = _decide_catalog(rules, E, D)
-    return _merge(property_name, E, D, decisions, lo, partial(_trail, decisions, E, D))
+    decisions, excluded = _decide_catalog(rules, E, D)
+    return _merge(
+        property_name, E, D, decisions, lo, partial(_trail, decisions, excluded, E, D))
 
 
 def classify_very_ample(E: Bundle, D: Divisor) -> Verdict:

@@ -18,13 +18,21 @@ rules` prints.  The guard (`scope`) is a list of conditions, split at ", "
 and "; ".  Each case has a label, which is its condition, a strength (iff,
 sufficient or necessary) and its comparisons, such as "b + a/2 > 2".  In a
 frame where the guard holds, the first case whose condition holds decides
-the row (`Rule.evaluate`); the last case takes every frame left, so its label
-is only printed.  Each text is parsed once, when the catalog is built, and
-an unknown phrase fails there.  A condition is a named one (`_NAMED`, such
-as "E ample" or "deg = 0 (mod rank)"), a count on a, the rank or the frame
-degree ("a >= 2", "rank 4"), "P needs Q and R" (P implies Q and R), or a
-comparison; a guard, or a case's condition, compiles into one function of
-the frame (`_compile`).  Everything else is derived from the cases: the
+the row (`Rule.evaluate`); the last case takes every frame left, so its
+label is only printed.  Each text is parsed once, when the catalog is
+built, and an unknown phrase fails there.  A condition is a named one
+(`_NAMED`, such as "E ample" or "deg = 0 (mod rank)"), a count on a, the
+rank or the frame degree ("a >= 2", "rank 4"), "P needs Q and R" (P
+implies Q and R), or a comparison; a guard, or a case's condition,
+compiles into one function of the frame (`_compile`).  A guard's bundle
+part is its conditions that read only the frame's bundle (the rank, the
+frame degree, (in)decomposable, "E ample", the degree mod the rank, 3 or
+2), and its cell part those that read a or b; a case's condition reads the
+bundle only.  A `Catalog` compiles its rows' bundle parts into one function
+and decides with it, once per bundle, which rows the bundle admits: every
+other row is inapplicable there.  The engine evaluates only the admitted
+rows in a cell; `Rule.evaluate` checks the whole guard, so it decides any
+row in any frame by itself.  Everything else is derived from the cases: the
 row's strength (its first case's), the label and condition text `veryample
 rules` prints, the rows that screen the quotient scrolls for R-QUOT-NEC
 (every row whose strength is not sufficient), and the upper end of an
@@ -32,7 +40,8 @@ Unknown window, which the engine reads off each applicable sufficient row
 whose only comparison is on s (`S_LABEL`): `s > t` leaves (.., t] open and
 `s >= t` leaves (.., t) open.  Two rows compare more than their text:
 R-A1-DEC compares every summand, so its one case is compiled by hand, and
-R-QUOT-NEC is decided by the engine's quotient screen (`special="quotient"`).
+R-QUOT-NEC is decided by the engine's quotient screen
+(`special="quotient"`).
 
 Comparisons are affine data: a left-hand side is an `_LHS` (beta, k, m),
 beta*b + k*a + m with k and m integer pairs of the frame (`_QUANTITY`), and
@@ -56,7 +65,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._frozen import Frozen
 # unused here; kept because perfbench/tracing.py wraps rules.sym_power_split
@@ -66,6 +75,7 @@ from .verdicts import Comparison, DeferredComparisons, Outcome, RuleFiring, Stre
 
 __all__ = [
     "Case",
+    "Catalog",
     "Frame",
     "Rule",
     "VERY_AMPLE_RULES",
@@ -73,6 +83,7 @@ __all__ = [
     "NORMALLY_GENERATED_RULES",
     "AMPLE_RULES",
     "ALL_RULES",
+    "RULES_BY_ID",
     "rank3_exception",
 ]
 
@@ -306,10 +317,12 @@ _NAMED: dict[str, str] = {
 _COUNT = re.compile(r"(a|rank|frame degree) (?:(>=|=) )?(\d+)")
 
 
+@lru_cache(maxsize=None)
 def _expression(text: str) -> str:
     """The expression in `fr` of one condition: a named one, a count, "P
     needs Q and R" (P implies Q and R) or a comparison, cross-multiplied
-    over its positive denominators.  An unknown phrase raises KeyError."""
+    over its positive denominators.  An unknown phrase raises KeyError.
+    Kept per text, as a guard's are read twice: whole, and its bundle part."""
     if text in _NAMED:
         return f"({_NAMED[text]})"
     count = _COUNT.fullmatch(text)
@@ -334,14 +347,56 @@ def _compile(texts: list[str]) -> Callable[[Frame], bool]:
     return eval(f"lambda fr: {body}", {"rank3_exception": rank3_exception})
 
 
+def _conditions(scope: str) -> list[str]:
+    """A guard's conditions: its text split at ", " and "; "."""
+    return re.split("[,;] ", scope)
+
+
+def _bundle_part(scope: str) -> str:
+    """The guard's bundle part: the conjunction, as an expression in `fr`, of
+    its conditions that read no field of the frame but its bundle; "True" if
+    none does.  The rest, its cell part, reads a or b."""
+    parts = [e for e in map(_expression, _conditions(scope))
+             if "fr." not in e.replace("fr.bundle", "")]
+    return " and ".join(parts) or "True"
+
+
 def _rule(
     rule_id: str, property_name: str, citation: str, scope: str,
     cases: tuple[Case, ...], special: Optional[str] = None,
 ) -> Rule:
-    """A row whose guard is its `scope`: conditions split at ", " and "; "."""
-    applies = _compile(re.split("[,;] ", scope))
+    """A row whose guard is its `scope`, all of it: `Rule.evaluate` decides
+    the row in any frame by itself."""
+    applies = _compile(_conditions(scope))
     _UNMET[scope] = f"guard not met ({scope})"
     return Rule(rule_id, property_name, citation, scope, applies, cases, special)
+
+
+class Catalog(tuple):
+    """A tuple of rows that decides, once per bundle, which rows the bundle
+    admits: those whose guard's bundle part (`_bundle_part`) holds on it.
+    Every other row is inapplicable in every frame on that bundle.
+
+    The bundle parts of all the rows compile into one function of the
+    bundle alone, so a part that read a or b would raise NameError.
+    `admission(bundle)` returns the admitted rows, in catalog order, and
+    the ids of the excluded ones; it keeps the answers for the last 2048
+    bundles."""
+
+    def __new__(cls, rows: Iterable[Rule]) -> "Catalog":
+        self = super().__new__(cls, rows)
+        parts = ", ".join(_bundle_part(rule.scope) for rule in self)
+        admits = eval(f"lambda bundle: ({parts.replace('fr.bundle', 'bundle')},)",
+                      {"rank3_exception": rank3_exception})
+
+        @lru_cache(maxsize=2048)
+        def admission(bundle: Bundle) -> tuple[tuple[Rule, ...], tuple[str, ...]]:
+            flags = admits(bundle)
+            return (tuple(rule for rule, ok in zip(self, flags) if ok),
+                    tuple(rule.rule_id for rule, ok in zip(self, flags) if not ok))
+
+        self.admission = admission
+        return self
 
 
 def _cases(*cases: tuple[str, Strength, str]) -> tuple[Case, ...]:
@@ -369,7 +424,7 @@ def _a1_dec_sides(fr: Frame) -> list[tuple]:
 
 # -- the catalog --------------------------------------------------------------
 
-VERY_AMPLE_RULES: tuple[Rule, ...] = (
+VERY_AMPLE_RULES = Catalog((
     _rule(
         rule_id="R-FIBER",
         property_name="very_ample",
@@ -546,10 +601,10 @@ VERY_AMPLE_RULES: tuple[Rule, ...] = (
         ),
         special="quotient",
     ),
-)
+))
 
 
-AMPLE_RULES: tuple[Rule, ...] = (
+AMPLE_RULES = Catalog((
     _rule(
         rule_id="R-AMPLE",
         property_name="ample",
@@ -557,10 +612,10 @@ AMPLE_RULES: tuple[Rule, ...] = (
         scope="every divisor",
         cases=_only(Strength.IFF, "a >= 1 and b + a*mu^-(E) > 0"),
     ),
-)
+))
 
 
-GLOBALLY_GENERATED_RULES: tuple[Rule, ...] = (
+GLOBALLY_GENERATED_RULES = Catalog((
     _rule(
         rule_id="R-GG-A1",
         property_name="globally_generated",
@@ -575,10 +630,10 @@ GLOBALLY_GENERATED_RULES: tuple[Rule, ...] = (
         scope="a >= 1",
         cases=_only(Strength.SUFFICIENT, "b + a*mu^-(E) > 1"),
     ),
-)
+))
 
 
-NORMALLY_GENERATED_RULES: tuple[Rule, ...] = (
+NORMALLY_GENERATED_RULES = Catalog((
     _rule(
         rule_id="R-NG-BUTLER",
         property_name="normally_generated",
@@ -586,7 +641,7 @@ NORMALLY_GENERATED_RULES: tuple[Rule, ...] = (
         scope="a >= 1",
         cases=_only(Strength.SUFFICIENT, "b + a*mu^-(E) > 2"),
     ),
-)
+))
 
 
 ALL_RULES: tuple[Rule, ...] = (
@@ -595,3 +650,7 @@ ALL_RULES: tuple[Rule, ...] = (
     + GLOBALLY_GENERATED_RULES
     + NORMALLY_GENERATED_RULES
 )
+
+# each row by its id: the rule a verdict binds on, and the rows a trail
+# evaluates when it is read
+RULES_BY_ID: dict[str, Rule] = {rule.rule_id: rule for rule in ALL_RULES}

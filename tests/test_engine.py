@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import pickle
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -277,6 +278,35 @@ class TestGuards:
             (rule.rule_id, i) for rule in ALL_RULES for i in range(len(rule.cases))
         }
 
+    # the catalogs the engine asks for a bundle's admission
+    CATALOGS = (VERY_AMPLE_RULES, AMPLE_RULES, GLOBALLY_GENERATED_RULES,
+                NORMALLY_GENERATED_RULES, engine._SCREEN_RULES)
+
+    def test_a_row_its_bundle_excludes_never_applies(self):
+        # the guard split: a bundle part reads no cell field, and a row its
+        # bundle excludes is inapplicable in every cell on that bundle, in
+        # the frame the engine evaluates it in (R-QUOT-NEC's untwisted)
+        for rule in ALL_RULES:
+            part = rules._bundle_part(rule.scope)
+            assert not re.search(r"\bfr\.(a|b|sn|sd|l)\b", part), (rule.rule_id, part)
+        sweep = list(dict.fromkeys(self.SWEEP + small_bundles(4, 2)))
+        excluded_decisions = 0
+        for E in sweep:
+            for a in range(0, 7):
+                for b in range(-9, 9):
+                    frame, = canonical_frames(E, Divisor(a, b))
+                    for catalog in self.CATALOGS:
+                        admitted, excluded = catalog.admission(frame.bundle)
+                        assert [r.rule_id for r in admitted] == [
+                            r.rule_id for r in catalog if r.rule_id not in excluded]
+                        for rule_id in excluded:
+                            rule = rules.RULES_BY_ID[rule_id]
+                            where = Frame(0, E, a, b) if rule.special else frame
+                            assert rule.evaluate(where).outcome is Outcome.INAPPLICABLE, (
+                                rule_id, str(E), a, b)
+                            excluded_decisions += 1
+        assert (len(sweep), excluded_decisions) == (399, 968_562)
+
     @pytest.mark.parametrize("scope", [
         "indecomposible",
         "a >= 2, rank 3, indecomposible",
@@ -419,7 +449,7 @@ class TestDecidedMerge:
                 for b in range(-5, 6):
                     D = Divisor(a, b)
                     decided = _classify(name, rules, E, D, lo)
-                    firings = _trail(_decide_catalog(rules, E, D), E, D)
+                    firings = _trail(*_decide_catalog(rules, E, D), E, D)
                     recorded = _merge(name, E, D, firings, lo, trail=lambda: firings)
                     assert _summary(decided) == _summary(recorded), (str(E), a, b)
                     cells += 1
@@ -468,16 +498,22 @@ class TestLazyTrail:
         assert verdicts[0].firings is trail
         assert len(recorded) == 1 and len(screened) == 1
         D = Divisor(2, 2)
-        assert trail == _trail(_decide_catalog(VERY_AMPLE_RULES, E, D), E, D)
+        assert trail == _trail(*_decide_catalog(VERY_AMPLE_RULES, E, D), E, D)
 
     def test_each_row_is_decided_once_per_frame(self, monkeypatch):
-        # Unknown, so the window is read too: 17 rows in the canonical
-        # frame and R-QUOT-NEC once, in the untwisted frame
+        # Unknown, so the window is read too.  The cell evaluates the 5 rows
+        # the indecomposable 3:2 admits, once each; the trail evaluates the
+        # other 12 rows in the canonical frame and R-QUOT-NEC in the
+        # untwisted one, so every row is evaluated exactly once in all
         decided = self._count(monkeypatch, Rule, "evaluate")
         v = classify_very_ample(parse_bundle("3:2"), Divisor(2, 0))
         assert v.is_unknown and v.unknown_window.render() == "(0, 4/3]"
+        assert Counter(rule.rule_id for rule, _ in decided) == Counter(
+            ["R-FIBER", "R-MIYAOKA", "R-BUTLER", "R-A1-INDEC", "R-RK3-INDEC"])
+        v.firings
         per_frame = Counter((rule.rule_id, frame.l) for rule, frame in decided)
         assert set(per_frame.values()) == {1} and len(decided) == 18
+        assert {rule_id for rule_id, _ in per_frame} == {r.rule_id for r in VERY_AMPLE_RULES}
         before = len(decided)
         v.firings
         assert len(decided) == before
@@ -612,7 +648,7 @@ class TestQuotientScreen:
             for a in range(0, 6):
                 for b in range(-9, 9):
                     D = Divisor(a, b)
-                    decided, = engine._decide_catalog((_QUOT,), E, D)
+                    decided = engine._decide(_QUOT, canonical_frames(E, D)[0], E, D)
                     assert decided.outcome is oracle(E, subs, D), (str(E), a, b)
                     cells += 1
         assert cells == (281 + 666 + 231 * 7) * 108
