@@ -27,10 +27,10 @@ pre-folded into --flag=value form before parsing.
 
 from __future__ import annotations
 
+# json and csv are imported by the branches that print them, so that the
+# other outputs do not pay for the imports at start-up
 import argparse
-import csv
 import io
-import json
 import os
 import re
 import sys
@@ -159,6 +159,8 @@ def cmd_classify(ns: argparse.Namespace) -> int:
     D = Divisor(_single_int("--a", ns.a), _single_int("--b", ns.b))
     verdict = classify_very_ample(E, D)
     if ns.format == "json":
+        import json
+
         payload = {
             "bundle": str(E),
             "rank": E.rank,
@@ -210,6 +212,8 @@ def cmd_invariants(ns: argparse.Namespace) -> int:
         h0 = None
 
     if ns.format == "json":
+        import json
+
         payload = {
             "bundle": str(E),
             "rank": E.rank,
@@ -310,6 +314,8 @@ def cmd_table(ns: argparse.Namespace) -> int:
             rows.append((a, b, v.status, strength, v.binding_rule, v.slope_invariant))
 
     if ns.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(
             ["a", "b", "status", "strength", "binding_rule", "slope_invariant"]
@@ -321,6 +327,8 @@ def cmd_table(ns: argparse.Namespace) -> int:
         _print_atlas(E, a_range, b_range, rows)
         return 0
     if ns.format == "json":
+        import json
+
         payload = {
             "bundle": str(E),
             "rows": [
@@ -375,6 +383,8 @@ _PROPERTY_ORDER = ("very_ample", "ample", "globally_generated", "normally_genera
 
 def cmd_rules(ns: argparse.Namespace) -> int:
     if ns.format == "json":
+        import json
+
         payload = [
             {
                 "rule_id": rule.rule_id,

@@ -10,19 +10,22 @@ anything.
 One path per row.  A catalog decides once per canonical bundle which rows
 the bundle admits (`Catalog.admission`, from each guard's bundle part): a
 row it excludes is inapplicable in every cell on that bundle.  A cell
-evaluates only the admitted rows, each once, by `Rule.evaluate`, whose
-RuleFiring is both the decision and the trail line; R-QUOT-NEC too: it is
-No as soon as one screened sub-sum Q has a negative witness, so its screen
-stops there, and each Q is screened by the rows Q admits.  The verdict
-binds on these firings and reads its Unknown window off them; an excluded
+builds one frame and evaluates only the admitted rows, each once, by
+`Rule.evaluate`, whose RuleFiring is both the decision and the trail line.
+R-QUOT-NEC is admitted on the canonical bundle, as its bundle part,
+"decomposable", is the same in every twist; admitted, its guard is down to
+a >= 1, so its decision needs no frame of its own: No as soon as one
+screened sub-sum Q has a negative witness, so its screen stops there, and
+each Q is screened by the rows Q admits.  The verdict binds on these
+firings, the strongest No or Yes found in one pass, and reads its Unknown
+window's upper end off the case texts of the sufficient ones; an excluded
 row says neither yes nor no and compares nothing, so it would change
 neither.  The verdict keeps the firings and the excluded rows' ids: the
 first read of its `firings` evaluates each excluded row in its frame, sorts
 all of them by rule id as the trail, and screens R-QUOT-NEC again, for one
-firing per screened sub-sum.  What a verdict keeps for its trail is plain
-data, so a verdict pickles.  R-QUOT-NEC is evaluated in the untwisted frame
-but admitted on the canonical bundle: its bundle part, "decomposable", is
-the same in every twist.
+firing per screened sub-sum.  The trail records R-QUOT-NEC in frame 0, the
+untwisted one, and evaluates it there where it is inapplicable.  What a
+verdict keeps for its trail is plain data, so a verdict pickles.
 
 The quotient screen.  R-QUOT-NEC restricts D to the quotient scrolls P(Q),
 Q a proper sub-sum of E's atoms, and says No when a row that can say No
@@ -55,7 +58,7 @@ what a twist keeps: a, s, b + a*mu(E), the rank, deg mod rank,
 indecomposability, `rank3_exception`, and at a = 1 b + mu(E), b + mu^-(E)
 and each b + mu(A).  The tests check this for every row in frame l0 + 1.
 The slope invariant and all verdicts are frame-independent; the firing
-records keep the frame they fired in (R-QUOT-NEC's is the untwisted one).
+records keep the frame they fired in, and R-QUOT-NEC's record frame 0.
 """
 
 from __future__ import annotations
@@ -73,11 +76,10 @@ from .rules import (
     GLOBALLY_GENERATED_RULES,
     NORMALLY_GENERATED_RULES,
     RULES_BY_ID,
-    S_LABEL,
     VERY_AMPLE_RULES,
     Catalog,
     Frame,
-    Rule,
+    window_end,
 )
 from .verdicts import (
     Comparison,
@@ -192,7 +194,7 @@ def _negative_witness(
 
 def _quotient_firings(decision: RuleFiring, E: Bundle, D: Divisor) -> list[RuleFiring]:
     """R-QUOT-NEC's firings on a bundle it applies to, one per screened
-    sub-sum, in the frame of its decision (the untwisted one)."""
+    sub-sum, in frame 0, which its decision records."""
     firings = []
     for Q in _proper_sub_multisets(E):
         witness = _negative_witness(Q, D)
@@ -214,22 +216,27 @@ def _quotient_firings(decision: RuleFiring, E: Bundle, D: Divisor) -> list[RuleF
 
 # -- decision, trail and merge -----------------------------------------------
 
-# the trail finds R-QUOT-NEC by its id: a verdict keeps firings, not rows
-_QUOTIENT_ID = next(r.rule_id for r in VERY_AMPLE_RULES if r.special == "quotient")
+_QUOTIENT = next(r for r in VERY_AMPLE_RULES if r.special == "quotient")
+# its decisions where its guard holds: the pass Rule.evaluate returns in frame
+# 0, and that pass turned into No
+_QUOTIENT_NO, _QUOTIENT_PASS = (
+    RuleFiring(_QUOTIENT.rule_id, _QUOTIENT.citation, _QUOTIENT.strength, outcome, 0)
+    for outcome in (Outcome.NO, Outcome.PASS)
+)
 
 
-def _decide(rule: Rule, frame: Frame, E: Bundle, D: Divisor) -> RuleFiring:
-    """The row's firing in the canonical frame.  R-QUOT-NEC is evaluated in
-    the untwisted frame, and its pass turns into No at the first screened
-    sub-sum with a negative witness."""
-    if rule.special != "quotient":
-        return rule.evaluate(frame)
-    firing = rule.evaluate(Frame(0, E, D.a, D.b))
-    if firing.outcome is Outcome.PASS and any(
-        _negative_witness(Q, D) is not None for Q in _proper_sub_multisets(E)
-    ):
-        firing = firing._replace(outcome=Outcome.NO)
-    return firing
+def _decide_quotient(E: Bundle, D: Divisor) -> RuleFiring:
+    """R-QUOT-NEC's decision on a bundle that admits it: field by field its
+    `Rule.evaluate` in frame 0, with a pass turned into No at the first
+    screened sub-sum with a negative witness.  Admitted, its guard is down
+    to a >= 1, so the decision needs no frame of its own; only an
+    inapplicable one, at a < 1, is evaluated."""
+    if D.a < 1:
+        return _QUOTIENT.evaluate(Frame(0, E, D.a, D.b))
+    for Q in _proper_sub_multisets(E):
+        if _negative_witness(Q, D) is not None:
+            return _QUOTIENT_NO
+    return _QUOTIENT_PASS
 
 
 def _decide_catalog(
@@ -239,28 +246,30 @@ def _decide_catalog(
     evaluated once, and the ids of the rows it excludes."""
     frame, = canonical_frames(E, D)
     admitted, excluded = rules.admission(frame.bundle)
-    return [_decide(rule, frame, E, D) for rule in admitted], excluded
+    return [
+        rule.evaluate(frame) if rule.special is None else _decide_quotient(E, D)
+        for rule in admitted
+    ], excluded
 
 
 def _trail(
     decisions: Sequence[RuleFiring], excluded: Sequence[str], E: Bundle, D: Divisor
 ) -> tuple[RuleFiring, ...]:
     """The decisions and the excluded rows' firings, sorted by rule id, with
-    their comparisons built, and with an applicable R-QUOT-NEC as one firing
-    per screened sub-sum."""
+    their comparisons built, R-QUOT-NEC's in frame 0, and an applicable
+    R-QUOT-NEC as one firing per screened sub-sum."""
     frame, = canonical_frames(E, D)
     firings: list[RuleFiring] = []
-    for f in (*decisions, *(_decide(RULES_BY_ID[i], frame, E, D) for i in excluded)):
-        if f.rule_id == _QUOTIENT_ID and f.outcome is not Outcome.INAPPLICABLE:
+    for f in (*decisions, *(
+        RULES_BY_ID[i].evaluate(Frame(0, E, D.a, D.b) if i == _QUOTIENT.rule_id else frame)
+        for i in excluded
+    )):
+        if f.rule_id == _QUOTIENT.rule_id and f.outcome is not Outcome.INAPPLICABLE:
             firings.extend(_quotient_firings(f, E, D))
         else:
             firings.append(f._replace(comparisons=tuple(f.comparisons)))
     firings.sort(key=lambda f: f.rule_id)
     return tuple(firings)
-
-
-_AFFIRMATIVE_RANK = {Strength.IFF: 0, Strength.SUFFICIENT: 1}
-_NEGATIVE_RANK = {Strength.IFF: 0, Strength.NECESSARY: 1}
 
 
 def _merge(
@@ -274,36 +283,37 @@ def _merge(
     """Bind the verdict on decisions, the firings each row returned.  trail
     builds the firings the verdict shows when they are read."""
     s = pushforward_mu_minus(E, D.a, D.b)
-    yes = [f for f in decisions if f.outcome is Outcome.YES]
-    no = [f for f in decisions if f.outcome is Outcome.NO]
-    if yes and no:
+    # the strongest No and Yes: an iff first, then the lowest rule id; the
+    # ties share both, which is all a verdict keeps of its binding decision
+    no = yes = None
+    for f in decisions:
+        if f.outcome is Outcome.NO:
+            if no is None or _stronger(f, no):
+                no = f
+        elif f.outcome is Outcome.YES:
+            if yes is None or _stronger(f, yes):
+                yes = f
+    if yes is not None and no is not None:
         # the message quotes the first of each in the trail, with its text
         firings = trail()
-        yes = [f for f in firings if f.outcome is Outcome.YES]
-        no = [f for f in firings if f.outcome is Outcome.NO]
+        yes = next(f for f in firings if f.outcome is Outcome.YES)
+        no = next(f for f in firings if f.outcome is Outcome.NO)
         raise ContradictionError(
             f"rule table contradiction for {property_name} on P({E}) with "
-            f"D = {D}: {yes[0].rule_id} concludes yes ({yes[0].condition}) "
-            f"but {no[0].rule_id} concludes no ({no[0].condition})"
+            f"D = {D}: {yes.rule_id} concludes yes ({yes.condition}) "
+            f"but {no.rule_id} concludes no ({no.condition})"
         )
-    for status, found, ranking in (
-        (Status.NO, no, _NEGATIVE_RANK), (Status.YES, yes, _AFFIRMATIVE_RANK)
-    ):
-        if found:
-            # strongest first, then lowest rule id; the ties share both,
-            # which is all a verdict keeps of its binding decision
-            f = min(found, key=lambda d: (ranking[d.strength], d.rule_id))
+    for status, f in ((Status.NO, no), (Status.YES, yes)):
+        if f is not None:
             return Verdict(
-                property_name, status, f.strength, f.rule_id, trail,
-                slope_invariant=s,
+                property_name, status, f.strength, f.rule_id, trail, slope_invariant=s,
             )
-    # a sufficient s > t leaves (.., t] open, and s >= t leaves (.., t)
-    hi = min(
-        ((c.rhs, c.op == ">") for f in decisions
-         if f.strength is Strength.SUFFICIENT
-         and len(cs := tuple(f.comparisons)) == 1 and (c := cs[0]).label == S_LABEL),
-        default=None,
-    )
+    hi = None
+    for f in decisions:
+        if f.strength is Strength.SUFFICIENT:
+            end = window_end(f.comparisons)
+            if end is not None and (hi is None or end < hi):
+                hi = end
     window = Window(
         lo=Fraction(lo[0]) if lo else None,
         lo_strict=lo[1] if lo else True,
@@ -319,6 +329,13 @@ def _merge(
         property_name, Status.UNKNOWN, None, None, trail,
         unknown_window=window, unknown_reason=reason, slope_invariant=s,
     )
+
+
+def _stronger(f: RuleFiring, g: RuleFiring) -> bool:
+    """Whether f binds before g: an iff before any other strength, then the
+    lower rule id."""
+    return ((f.strength is not Strength.IFF, f.rule_id)
+            < (g.strength is not Strength.IFF, g.rule_id))
 
 
 def _classify(

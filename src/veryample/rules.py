@@ -36,9 +36,10 @@ row in any frame by itself.  Everything else is derived from the cases: the
 row's strength (its first case's), the label and condition text `veryample
 rules` prints, the rows that screen the quotient scrolls for R-QUOT-NEC
 (every row whose strength is not sufficient), and the upper end of an
-Unknown window, which the engine reads off each applicable sufficient row
-whose only comparison is on s (`S_LABEL`): `s > t` leaves (.., t] open and
-`s >= t` leaves (.., t) open.  Two rows compare more than their text:
+Unknown window, which the engine reads off the case text of each
+applicable sufficient row whose only comparison is on s (`S_LABEL`,
+`window_end`): `s > t` leaves (.., t] open and `s >= t` leaves (.., t)
+open.  Two rows compare more than their text:
 R-A1-DEC compares every summand, so its one case is compiled by hand, and
 R-QUOT-NEC is decided by the engine's quotient screen
 (`special="quotient"`).
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._frozen import Frozen
@@ -213,7 +214,8 @@ _UNMET: dict[str, str] = {}
 # -- comparisons as data ------------------------------------------------------
 
 # The label of every comparison on s; the engine reads the upper end of an
-# Unknown window off the sufficient decisions that compare nothing else.
+# Unknown window off the sufficient decisions that compare nothing else
+# (`window_end`).
 S_LABEL = "b + a*mu^-(E)"
 
 # Each frame quantity, by name: its numerator and denominator (> 0 where defined) in `fr`.
@@ -291,8 +293,37 @@ def _builder(text: str) -> Callable[[Frame], tuple[Comparison, ...]]:
     return eval(f"lambda fr: ({comps})", {"Comparison": Comparison, "Fraction": Fraction})
 
 
-def _build(text: str, fr: Frame) -> tuple[Comparison, ...]:
-    return _builder(text)(fr)
+class _Text(str):
+    """A case's comparisons as written; called on a frame, they are built."""
+
+    __slots__ = ()
+
+    def __call__(self, fr: Frame) -> tuple[Comparison, ...]:
+        return _builder(self)(fr)
+
+
+@lru_cache(maxsize=None)
+def _window_end(text: str) -> Optional[Callable[[Frame], tuple[Fraction, bool]]]:
+    """For `text` one comparison on s, "s > t" or "s >= t", the function of
+    the frame that gives (t, whether t is in the window), compiled on first
+    use; None for any other text."""
+    if " and " in text:
+        return None
+    label, op, _, _, tn, td = _parse(text)
+    if label != S_LABEL:
+        return None
+    return eval(f"lambda fr: (Fraction({tn}, {td}), {op == '>'})", {"Fraction": Fraction})
+
+
+def window_end(comparisons: Iterable[Comparison]) -> Optional[tuple[Fraction, bool]]:
+    """The upper end of the Unknown window a sufficient firing leaves open,
+    read off its case's text without building a Comparison: (t, True) for
+    s > t alone, which leaves (.., t] open, (t, False) for s >= t alone,
+    which leaves (.., t), and None for any other comparisons.  It reads the
+    comparisons `Rule.evaluate` defers; built ones give None."""
+    text = getattr(comparisons, "func", None)
+    end = _window_end(text) if isinstance(text, _Text) else None
+    return None if end is None else end(*comparisons.args)
 
 
 # -- conditions as data -------------------------------------------------------
@@ -405,7 +436,7 @@ def _cases(*cases: tuple[str, Strength, str]) -> tuple[Case, ...]:
     return tuple(
         Case(
             label, _compile([label]) if i < len(cases) - 1 else None, strength,
-            text, Compiled(_compile(text.split(" and ")), partial(_build, text)),
+            text, Compiled(_compile(text.split(" and ")), _Text(text)),
         )
         for i, (label, strength, text) in enumerate(cases)
     )

@@ -42,7 +42,7 @@ from veryample.rules import (
     Frame,
     Rule,
 )
-from veryample.verdicts import RuleFiring
+from veryample.verdicts import RuleFiring, Window
 
 from conftest import bundles, small_bundles
 
@@ -431,14 +431,33 @@ PROPERTIES = (
 )
 
 
-def _summary(v):
+def _summary(v, window=None):
     return (v.property_name, v.outcome, v.strength, v.binding_rule,
-            v.unknown_window, v.unknown_reason, v.slope_invariant)
+            window or v.unknown_window, v.unknown_reason, v.slope_invariant)
+
+
+def _comparison_window(firings, lo):
+    """An Unknown window read off built Comparisons: the least (t, s > t)
+    of the sufficient firings whose one comparison is on s."""
+    hi = min(
+        ((c.rhs, c.op == ">") for f in firings
+         if f.strength is Strength.SUFFICIENT
+         and len(cs := tuple(f.comparisons)) == 1 and (c := cs[0]).label == rules.S_LABEL),
+        default=None,
+    )
+    return Window(
+        lo=Fraction(lo[0]) if lo else None,
+        lo_strict=lo[1] if lo else True,
+        hi=hi[0] if hi else None,
+        hi_inclusive=hi[1] if hi else False,
+    )
 
 
 class TestDecidedMerge:
     """Verdicts merged on decisions against _merge over the full trail,
-    which binds on the firings themselves."""
+    which binds on the firings themselves; the window, which the merge reads
+    off each decision's case text, against the one the trail's built
+    Comparisons give."""
 
     @pytest.mark.parametrize("name, rules, lo, min_a", PROPERTIES,
                              ids=[p[0] for p in PROPERTIES])
@@ -451,7 +470,8 @@ class TestDecidedMerge:
                     decided = _classify(name, rules, E, D, lo)
                     firings = _trail(*_decide_catalog(rules, E, D), E, D)
                     recorded = _merge(name, E, D, firings, lo, trail=lambda: firings)
-                    assert _summary(decided) == _summary(recorded), (str(E), a, b)
+                    window = recorded.is_unknown and _comparison_window(firings, lo)
+                    assert _summary(decided) == _summary(recorded, window), (str(E), a, b)
                     cells += 1
         assert cells == (281 * 5 if min_a == 0 else 281 * 4) * 11
 
@@ -518,6 +538,25 @@ class TestLazyTrail:
         v.firings
         assert len(decided) == before
 
+    def test_an_applicable_quotient_row_is_never_evaluated(self, monkeypatch):
+        # on the decomposable 1:0,2:-1 at a = 2 the cell evaluates, in E's
+        # frame, the 5 ordinary rows the bundle admits and decides
+        # R-QUOT-NEC without Rule.evaluate (the screen evaluates rows only
+        # on the sub-sum 2:-1); the trail evaluates the 12 excluded rows and
+        # writes R-QUOT-NEC as one firing per screened sub-sum, in frame 0
+        decided = self._count(monkeypatch, Rule, "evaluate")
+        E = parse_bundle("1:0,2:-1")
+        for b, outcomes in ((2, ["no", "no"]), (3, ["pass", "pass"])):
+            decided.clear()
+            v = classify_very_ample(E, Divisor(2, b))
+            on_E = [rule.rule_id for rule, frame in decided if frame.bundle.rank == E.rank]
+            assert on_E == ["R-FIBER", "R-MIYAOKA", "R-BUTLER", "R-A1-DEC", "R-RK3-DEC"]
+            quotient = [f for f in v.firings if f.rule_id == "R-QUOT-NEC"]
+            assert [(f.outcome.value, f.frame) for f in quotient] == [
+                (outcome, 0) for outcome in outcomes]
+            on_E = [rule.rule_id for rule, frame in decided if frame.bundle.rank == E.rank]
+            assert len(on_E) == len(set(on_E)) == 17 and "R-QUOT-NEC" not in on_E
+
     def test_verdict_equality_and_repr_leave_the_trail_out(self):
         E, D = parse_bundle("1:2,2:3"), Divisor(2, -2)
         v, w = classify_very_ample(E, D), classify_very_ample(E, D)
@@ -580,6 +619,12 @@ class TestLazyTrail:
             built.update(Fraction=0, Comparison=0)
             v.firings
             assert built["Comparison"] > 0, (rule_id, text, a, b)
+        # an Unknown cell reads its window's upper end off R-BUTLER's and
+        # R-RK3-INDEC's case texts, s > 2 and s > 4/3, building no Comparison
+        built.update(Fraction=0, Comparison=0)
+        v = classify_very_ample(parse_bundle("3:2"), Divisor(2, 0))
+        assert v.is_unknown and v.unknown_window.render() == "(0, 4/3]"
+        assert built["Comparison"] == 0
 
     def test_quotient_screen_stops_at_the_first_witness(self, monkeypatch):
         # 12 distinct lines: the first screened sub-sum, the lowest line
@@ -623,9 +668,40 @@ _QUOT = next(rule for rule in VERY_AMPLE_RULES if rule.rule_id == "R-QUOT-NEC")
 _PRUNING_ROWS = {"R-FIBER", "R-MIYAOKA", "R-A1-DEC", "R-RK2-DEC", "R-RK3-DEC"}
 
 
+def _quotient_decision(E, D):
+    """R-QUOT-NEC's decision as a cell makes it where E admits the row, and
+    otherwise the inapplicable firing its trail records."""
+    frame, = canonical_frames(E, D)
+    if _QUOT.rule_id in VERY_AMPLE_RULES.admission(frame.bundle)[1]:
+        return _QUOT.evaluate(Frame(0, E, D.a, D.b))
+    return engine._decide_quotient(E, D)
+
+
 class TestQuotientScreen:
     """The screen visits O(atoms) sub-sums; these gates check the proof in
     engine.py that no other sub-sum can carry a negative witness."""
+
+    def test_decision_is_the_evaluation_in_frame_0(self):
+        # the cell decides R-QUOT-NEC without a frame of its own: field by
+        # field it is the row's firing in frame 0, a pass turned into No
+        # exactly where a screened sub-sum has a negative witness
+        cells = noes = 0
+        for E in small_bundles(4, 2):
+            for a in range(0, 6):
+                for b in range(-9, 9):
+                    D = Divisor(a, b)
+                    evaluated = _QUOT.evaluate(Frame(0, E, a, b))
+                    witness = any(engine._negative_witness(Q, D) is not None
+                                  for Q in engine._proper_sub_multisets(E))
+                    if evaluated.outcome is Outcome.PASS and witness:
+                        evaluated = evaluated._replace(outcome=Outcome.NO)
+                        noes += 1
+                    decided = _quotient_decision(E, D)
+                    for field in RuleFiring._fields:
+                        assert getattr(decided, field) == getattr(evaluated, field), (
+                            field, str(E), a, b)
+                    cells += 1
+        assert (cells, noes) == (275 * 108, 18_477)
 
     def test_decision_matches_the_full_enumeration(self):
         sweep = small_bundles(4, 2) + WIDE_SUMS + _LINE_SUMS + _LINES_PLUS_RANK2
@@ -648,8 +724,8 @@ class TestQuotientScreen:
             for a in range(0, 6):
                 for b in range(-9, 9):
                     D = Divisor(a, b)
-                    decided = engine._decide(_QUOT, canonical_frames(E, D)[0], E, D)
-                    assert decided.outcome is oracle(E, subs, D), (str(E), a, b)
+                    assert _quotient_decision(E, D).outcome is oracle(E, subs, D), (
+                        str(E), a, b)
                     cells += 1
         assert cells == (281 + 666 + 231 * 7) * 108
 
