@@ -293,26 +293,29 @@ def _builder(text: str) -> Callable[[Frame], tuple[Comparison, ...]]:
     return eval(f"lambda fr: ({comps})", {"Comparison": Comparison, "Fraction": Fraction})
 
 
-class _Text(str):
-    """A case's comparisons as written; called on a frame, they are built."""
+def _window_end(text: str) -> Optional[tuple[Fraction, bool]]:
+    """For `text` one comparison on s, "s > t" or "s >= t": t and whether
+    it is in the window; None for any other text.  A t that is not a
+    number, such as "1 + 2/r", raises ValueError when the case is built."""
+    if not text.startswith(S_LABEL + " ") or " and " in text:
+        return None
+    _, op, _, _, tn, td = _parse(text)
+    return Fraction(int(tn), int(td)), op == ">"
 
-    __slots__ = ()
+
+class _Text:
+    """A case's comparisons as written (`text`); called on a frame, they are
+    built.  `end` is the upper end of the Unknown window the case leaves
+    open where it is sufficient and fails (`window_end`)."""
+
+    __slots__ = ("text", "end")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.end = _window_end(text)
 
     def __call__(self, fr: Frame) -> tuple[Comparison, ...]:
-        return _builder(self)(fr)
-
-
-@lru_cache(maxsize=None)
-def _window_end(text: str) -> Optional[Callable[[Frame], tuple[Fraction, bool]]]:
-    """For `text` one comparison on s, "s > t" or "s >= t", the function of
-    the frame that gives (t, whether t is in the window), compiled on first
-    use; None for any other text."""
-    if " and " in text:
-        return None
-    label, op, _, _, tn, td = _parse(text)
-    if label != S_LABEL:
-        return None
-    return eval(f"lambda fr: (Fraction({tn}, {td}), {op == '>'})", {"Fraction": Fraction})
+        return _builder(self.text)(fr)
 
 
 def window_end(comparisons: Iterable[Comparison]) -> Optional[tuple[Fraction, bool]]:
@@ -321,9 +324,8 @@ def window_end(comparisons: Iterable[Comparison]) -> Optional[tuple[Fraction, bo
     s > t alone, which leaves (.., t] open, (t, False) for s >= t alone,
     which leaves (.., t), and None for any other comparisons.  It reads the
     comparisons `Rule.evaluate` defers; built ones give None."""
-    text = getattr(comparisons, "func", None)
-    end = _window_end(text) if isinstance(text, _Text) else None
-    return None if end is None else end(*comparisons.args)
+    build = getattr(comparisons, "func", None)
+    return build.end if isinstance(build, _Text) else None
 
 
 # -- conditions as data -------------------------------------------------------
