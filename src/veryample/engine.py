@@ -7,25 +7,28 @@ simultaneous Yes and No is not a tie to break: it means the catalog is
 transcribed wrong, and it raises ContradictionError instead of returning
 anything.
 
-One path per row.  A catalog decides once per canonical bundle which rows
-the bundle admits (`Catalog.admission`, from each guard's bundle part): a
-row it excludes is inapplicable in every cell on that bundle.  A cell
-builds one frame and evaluates only the admitted rows, each once, by
-`Rule.evaluate`, whose RuleFiring is both the decision and the trail line.
-R-QUOT-NEC is admitted on the canonical bundle, as its bundle part,
-"decomposable", is the same in every twist; admitted, its guard is down to
-a >= 1, so its decision needs no frame of its own: No as soon as one
-screened sub-sum Q has a negative witness, so its screen stops there, and
-each Q is screened by the rows Q admits.  The verdict binds on these
-firings, the strongest No or Yes found in one pass, and reads its Unknown
-window's upper end off the case texts of the sufficient ones; an excluded
-row says neither yes nor no and compares nothing, so it would change
-neither.  The verdict keeps the firings and the excluded rows' ids: the
-first read of its `firings` evaluates each excluded row in its frame, sorts
-all of them by rule id as the trail, and screens R-QUOT-NEC again, for one
-firing per screened sub-sum.  The trail records R-QUOT-NEC in frame 0, the
-untwisted one, and evaluates it there where it is inapplicable.  What a
-verdict keeps for its trail is plain data, so a verdict pickles.
+One plan per bundle.  The plan of a catalog on E (`_twisted`, the one
+cache keyed by bundle besides the screen's sub-sums) holds l0, E(l0) and
+the rows of the catalog that E(l0) admits (`rules.admits`, from each
+guard's bundle part); a row it excludes is inapplicable in every cell on
+that bundle.  A cell reads the plan once, builds one frame and evaluates
+only the admitted rows, each once, by `Rule.evaluate`.  R-QUOT-NEC is
+admitted on the canonical bundle, as its bundle part, "decomposable", is
+the same in every twist; admitted, its guard is down to a >= 1, so it is
+decided without evaluating a row: No as soon as one screened sub-sum Q has
+a negative witness, so its screen stops there, and each Q is screened by
+the rows of its own plan.  The verdict binds on these decisions, the
+strongest No or Yes found in one pass, reads its slope invariant off the
+frame and its Unknown window's upper end off the case texts of the
+sufficient ones; an excluded row says neither yes nor no and compares
+nothing, so it would change neither.
+
+The trail comes from the catalog alone.  A verdict keeps the property, E
+and D, plain data, so it pickles; the first read of its `firings`
+evaluates every row of the catalog in the canonical frame, R-QUOT-NEC in
+frame 0, the untwisted one, where it applies screened again for one firing
+per screened sub-sum, and sorts them by rule id.  `Rule.evaluate` decides
+any row in any frame by itself, so the trail shows what the cell decided.
 
 The quotient screen.  R-QUOT-NEC restricts D to the quotient scrolls P(Q),
 Q a proper sub-sum of E's atoms, and says No when a row that can say No
@@ -75,10 +78,10 @@ from .rules import (
     AMPLE_RULES,
     GLOBALLY_GENERATED_RULES,
     NORMALLY_GENERATED_RULES,
-    RULES_BY_ID,
     VERY_AMPLE_RULES,
-    Catalog,
     Frame,
+    Rule,
+    admits,
     window_end,
 )
 from .verdicts import (
@@ -134,28 +137,42 @@ def _require_projective_bundle(E: Bundle) -> None:
         )
 
 
-@lru_cache(maxsize=8192)
-def _twisted(E: Bundle, l: int) -> Bundle:
-    # sweeps hit the same (bundle, twist) pairs for every divisor cell
-    return E.twist(l)
-
-
-def canonical_frames(E: Bundle, D: Divisor) -> tuple[Frame, ...]:
-    """The one canonical frame, as a one-element tuple: the twist l0 with
-    0 <= deg E(l0) < rank, carrying the transformed divisor coefficient
-    b - a*l0 (module docstring)."""
+def canonical_frames(E: Bundle, D: Divisor) -> Frame:
+    """The one canonical frame: the twist l0 with 0 <= deg E(l0) < rank,
+    carrying the transformed divisor coefficient b - a*l0 (module
+    docstring)."""
     l = -(E.degree // E.rank)
-    return (Frame(l, _twisted(E, l), D.a, D.b - D.a * l),)
+    return Frame(l, E.twist(l), D.a, D.b - D.a * l)
 
 
 # -- quotient-scroll necessity (R-QUOT-NEC) ----------------------------------
 
 # Rows that can output No; sufficient-only rows are pointless when screening
 # restrictions for a negative witness.
-_SCREEN_RULES = Catalog(
+_SCREEN_RULES = tuple(
     r for r in VERY_AMPLE_RULES
     if r.strength is not Strength.SUFFICIENT and r.special != "quotient"
 )
+
+# Each catalog by the name its plan is kept under: a property's, and the screen's.
+_CATALOGS: dict[str, tuple[Rule, ...]] = {
+    "very_ample": VERY_AMPLE_RULES,
+    "ample": AMPLE_RULES,
+    "globally_generated": GLOBALLY_GENERATED_RULES,
+    "normally_generated": NORMALLY_GENERATED_RULES,
+    "screen": _SCREEN_RULES,
+}
+
+
+@lru_cache(maxsize=8192)
+def _twisted(catalog: str, E: Bundle) -> tuple[int, Bundle, tuple[Rule, ...]]:
+    """The plan of `catalog` on E: the canonical twist l0, E(l0), and the
+    rows of the catalog that E(l0) admits, in catalog order.  Sweeps decide
+    every cell of a bundle on the same plan."""
+    l = -(E.degree // E.rank)
+    twisted = E.twist(l)
+    admitted = admits(twisted)
+    return l, twisted, tuple(r for r in _CATALOGS[catalog] if admitted[r.rule_id])
 
 
 @lru_cache(maxsize=2048)
@@ -184,17 +201,18 @@ def _negative_witness(
     if Q.rank == 1:  # _curve_comparisons, decided in integers
         return None if D.b + D.a * Q.degree >= 3 else (
             "curve threshold", DeferredComparisons(_curve_comparisons, Q, D))
-    frame, = canonical_frames(Q, D)
-    for rule in _SCREEN_RULES.admission(frame.bundle)[0]:
+    l, twisted, rows = _twisted("screen", Q)
+    frame = Frame(l, twisted, D.a, D.b - D.a * l)
+    for rule in rows:
         firing = rule.evaluate(frame)
         if firing.outcome is Outcome.NO:
             return firing.rule_id, firing.comparisons
     return None
 
 
-def _quotient_firings(decision: RuleFiring, E: Bundle, D: Divisor) -> list[RuleFiring]:
+def _quotient_firings(E: Bundle, D: Divisor) -> list[RuleFiring]:
     """R-QUOT-NEC's firings on a bundle it applies to, one per screened
-    sub-sum, in frame 0, which its decision records."""
+    sub-sum, in frame 0."""
     firings = []
     for Q in _proper_sub_multisets(E):
         witness = _negative_witness(Q, D)
@@ -208,8 +226,8 @@ def _quotient_firings(decision: RuleFiring, E: Bundle, D: Divisor) -> list[RuleF
             outcome, (rejecter, comps) = Outcome.NO, witness
             note = f"restriction to P({Q}) is rejected by {rejecter}: "
         firings.append(RuleFiring(
-            decision.rule_id, decision.citation, Strength.NECESSARY, outcome,
-            decision.frame, tuple(comps), note,
+            _QUOTIENT.rule_id, _QUOTIENT.citation, Strength.NECESSARY, outcome, 0,
+            tuple(comps), note,
         ))
     return firings
 
@@ -217,57 +235,45 @@ def _quotient_firings(decision: RuleFiring, E: Bundle, D: Divisor) -> list[RuleF
 # -- decision, trail and merge -----------------------------------------------
 
 _QUOTIENT = next(r for r in VERY_AMPLE_RULES if r.special == "quotient")
-# its decisions where its guard holds: the pass Rule.evaluate returns in frame
-# 0, and that pass turned into No
-_QUOTIENT_NO, _QUOTIENT_PASS = (
-    RuleFiring(_QUOTIENT.rule_id, _QUOTIENT.citation, _QUOTIENT.strength, outcome, 0)
-    for outcome in (Outcome.NO, Outcome.PASS)
+# its decisions on a bundle that admits it, field by field what
+# Rule.evaluate returns in frame 0: a pass turned into No, a pass, and the
+# inapplicable one at a < 1
+_QUOTIENT_NO, _QUOTIENT_PASS, _QUOTIENT_UNMET = (
+    RuleFiring(_QUOTIENT.rule_id, _QUOTIENT.citation, strength, outcome, 0, (), note)
+    for strength, outcome, note in (
+        (Strength.NECESSARY, Outcome.NO, ""),
+        (Strength.NECESSARY, Outcome.PASS, ""),
+        (None, Outcome.INAPPLICABLE, f"guard not met ({_QUOTIENT.scope})"),
+    )
 )
 
 
 def _decide_quotient(E: Bundle, D: Divisor) -> RuleFiring:
-    """R-QUOT-NEC's decision on a bundle that admits it: field by field its
-    `Rule.evaluate` in frame 0, with a pass turned into No at the first
-    screened sub-sum with a negative witness.  Admitted, its guard is down
-    to a >= 1, so the decision needs no frame of its own; only an
-    inapplicable one, at a < 1, is evaluated."""
+    """R-QUOT-NEC's decision on a bundle that admits it: No at the first
+    screened sub-sum with a negative witness, else a pass.  Admitted, its
+    guard is down to a >= 1, so no row is evaluated for it."""
     if D.a < 1:
-        return _QUOTIENT.evaluate(Frame(0, E, D.a, D.b))
+        return _QUOTIENT_UNMET
     for Q in _proper_sub_multisets(E):
         if _negative_witness(Q, D) is not None:
             return _QUOTIENT_NO
     return _QUOTIENT_PASS
 
 
-def _decide_catalog(
-    rules: Catalog, E: Bundle, D: Divisor
-) -> tuple[list[RuleFiring], tuple[str, ...]]:
-    """The firing of each row the canonical frame's bundle admits, each row
-    evaluated once, and the ids of the rows it excludes."""
-    frame, = canonical_frames(E, D)
-    admitted, excluded = rules.admission(frame.bundle)
-    return [
-        rule.evaluate(frame) if rule.special is None else _decide_quotient(E, D)
-        for rule in admitted
-    ], excluded
-
-
-def _trail(
-    decisions: Sequence[RuleFiring], excluded: Sequence[str], E: Bundle, D: Divisor
-) -> tuple[RuleFiring, ...]:
-    """The decisions and the excluded rows' firings, sorted by rule id, with
-    their comparisons built, R-QUOT-NEC's in frame 0, and an applicable
-    R-QUOT-NEC as one firing per screened sub-sum."""
-    frame, = canonical_frames(E, D)
+def _trail(property_name: str, E: Bundle, D: Divisor) -> tuple[RuleFiring, ...]:
+    """Every row of the property's catalog evaluated in the canonical frame,
+    with its comparisons built, sorted by rule id; R-QUOT-NEC is evaluated in
+    frame 0 and, where it applies, written as one firing per screened
+    sub-sum."""
+    frame = canonical_frames(E, D)
     firings: list[RuleFiring] = []
-    for f in (*decisions, *(
-        RULES_BY_ID[i].evaluate(Frame(0, E, D.a, D.b) if i == _QUOTIENT.rule_id else frame)
-        for i in excluded
-    )):
-        if f.rule_id == _QUOTIENT.rule_id and f.outcome is not Outcome.INAPPLICABLE:
-            firings.extend(_quotient_firings(f, E, D))
-        else:
+    for rule in _CATALOGS[property_name]:
+        if rule.special is None:
+            f = rule.evaluate(frame)
             firings.append(f._replace(comparisons=tuple(f.comparisons)))
+        else:
+            f = rule.evaluate(Frame(0, E, D.a, D.b))
+            firings.extend([f] if f.outcome is Outcome.INAPPLICABLE else _quotient_firings(E, D))
     firings.sort(key=lambda f: f.rule_id)
     return tuple(firings)
 
@@ -276,13 +282,14 @@ def _merge(
     property_name: str,
     E: Bundle,
     D: Divisor,
+    s: Fraction,
     decisions: Sequence[RuleFiring],
     lo: Optional[tuple[int, bool]],
     trail: Callable[[], tuple[RuleFiring, ...]],
 ) -> Verdict:
-    """Bind the verdict on decisions, the firings each row returned.  trail
-    builds the firings the verdict shows when they are read."""
-    s = pushforward_mu_minus(E, D.a, D.b)
+    """Bind the verdict on decisions, the firings each row returned; s is
+    the slope invariant, read off the cell's frame.  trail builds the
+    firings the verdict shows when they are read."""
     # the strongest No and Yes: an iff first, then the lowest rule id; the
     # ties share both, which is all a verdict keeps of its binding decision
     no = yes = None
@@ -339,28 +346,31 @@ def _stronger(f: RuleFiring, g: RuleFiring) -> bool:
 
 
 def _classify(
-    property_name: str,
-    rules: Catalog,
-    E: Bundle,
-    D: Divisor,
-    lo: Optional[tuple[int, bool]],
+    property_name: str, E: Bundle, D: Divisor, lo: Optional[tuple[int, bool]]
 ) -> Verdict:
-    decisions, excluded = _decide_catalog(rules, E, D)
-    return _merge(
-        property_name, E, D, decisions, lo, partial(_trail, decisions, excluded, E, D))
+    """The verdict on the rows the plan of E admits, each evaluated once in
+    the cell's frame; the trail is built from the catalog when read."""
+    l, twisted, rows = _twisted(property_name, E)
+    frame = Frame(l, twisted, D.a, D.b - D.a * l)
+    decisions = [
+        rule.evaluate(frame) if rule.special is None else _decide_quotient(E, D)
+        for rule in rows
+    ]
+    return _merge(property_name, E, D, frame.s, decisions, lo,
+                  partial(_trail, property_name, E, D))
 
 
 def classify_very_ample(E: Bundle, D: Divisor) -> Verdict:
     """Three-valued very-ampleness verdict; its full firing trail is built
     when `firings` is first read."""
     _require_projective_bundle(E)
-    return _classify("very_ample", VERY_AMPLE_RULES, E, D, lo=(0, True))
+    return _classify("very_ample", E, D, lo=(0, True))
 
 
 def classify_ample(E: Bundle, D: Divisor) -> bool:
     """aT + bf is ample iff a >= 1 and b + a*mu^-(E) > 0 (Miyaoka, R-AMPLE)."""
     _require_projective_bundle(E)
-    return _classify("ample", AMPLE_RULES, E, D, lo=None).is_yes
+    return _classify("ample", E, D, lo=None).is_yes
 
 
 def classify_globally_generated(E: Bundle, D: Divisor) -> Verdict:
@@ -373,7 +383,7 @@ def classify_globally_generated(E: Bundle, D: Divisor) -> Verdict:
     _require_projective_bundle(E)
     if D.a < 1:
         raise DomainError(f"global generation is classified for a >= 1, got a={D.a}")
-    return _classify("globally_generated", GLOBALLY_GENERATED_RULES, E, D, lo=None)
+    return _classify("globally_generated", E, D, lo=None)
 
 
 def classify_normally_generated(E: Bundle, D: Divisor) -> Verdict:
@@ -382,4 +392,4 @@ def classify_normally_generated(E: Bundle, D: Divisor) -> Verdict:
     _require_projective_bundle(E)
     if D.a < 1:
         raise DomainError(f"normal generation is classified for a >= 1, got a={D.a}")
-    return _classify("normally_generated", NORMALLY_GENERATED_RULES, E, D, lo=None)
+    return _classify("normally_generated", E, D, lo=None)

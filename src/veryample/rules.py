@@ -28,11 +28,12 @@ compiles into one function of the frame (`_compile`).  A guard's bundle
 part is its conditions that read only the frame's bundle (the rank, the
 frame degree, (in)decomposable, "E ample", the degree mod the rank, 3 or
 2), and its cell part those that read a or b; a case's condition reads the
-bundle only.  A `Catalog` compiles its rows' bundle parts into one function
-and decides with it, once per bundle, which rows the bundle admits: every
-other row is inapplicable there.  The engine evaluates only the admitted
-rows in a cell; `Rule.evaluate` checks the whole guard, so it decides any
-row in any frame by itself.  Everything else is derived from the cases: the
+bundle only.  A catalog is a plain tuple of rows.  The bundle parts of all
+the rows compile into one function of the bundle (`admits`), which says by
+rule id which rows a bundle admits: every other row is inapplicable there.
+The engine asks it once per bundle and evaluates only the admitted rows in
+a cell; `Rule.evaluate` checks the whole guard, so it decides any row in
+any frame by itself.  Everything else is derived from the cases: the
 row's strength (its first case's), the label and condition text `veryample
 rules` prints, the rows that screen the quotient scrolls for R-QUOT-NEC
 (every row whose strength is not sufficient), and the upper end of an
@@ -76,7 +77,6 @@ from .verdicts import Comparison, DeferredComparisons, Outcome, RuleFiring, Stre
 
 __all__ = [
     "Case",
-    "Catalog",
     "Frame",
     "Rule",
     "VERY_AMPLE_RULES",
@@ -85,6 +85,7 @@ __all__ = [
     "AMPLE_RULES",
     "ALL_RULES",
     "RULES_BY_ID",
+    "admits",
     "rank3_exception",
 ]
 
@@ -405,33 +406,6 @@ def _rule(
     return Rule(rule_id, property_name, citation, scope, applies, cases, special)
 
 
-class Catalog(tuple):
-    """A tuple of rows that decides, once per bundle, which rows the bundle
-    admits: those whose guard's bundle part (`_bundle_part`) holds on it.
-    Every other row is inapplicable in every frame on that bundle.
-
-    The bundle parts of all the rows compile into one function of the
-    bundle alone, so a part that read a or b would raise NameError.
-    `admission(bundle)` returns the admitted rows, in catalog order, and
-    the ids of the excluded ones; it keeps the answers for the last 2048
-    bundles."""
-
-    def __new__(cls, rows: Iterable[Rule]) -> "Catalog":
-        self = super().__new__(cls, rows)
-        parts = ", ".join(_bundle_part(rule.scope) for rule in self)
-        admits = eval(f"lambda bundle: ({parts.replace('fr.bundle', 'bundle')},)",
-                      {"rank3_exception": rank3_exception})
-
-        @lru_cache(maxsize=2048)
-        def admission(bundle: Bundle) -> tuple[tuple[Rule, ...], tuple[str, ...]]:
-            flags = admits(bundle)
-            return (tuple(rule for rule, ok in zip(self, flags) if ok),
-                    tuple(rule.rule_id for rule, ok in zip(self, flags) if not ok))
-
-        self.admission = admission
-        return self
-
-
 def _cases(*cases: tuple[str, Strength, str]) -> tuple[Case, ...]:
     """A row's cases, each (label, strength, comparisons joined by " and ");
     each case but the last holds where its label, as a condition, does."""
@@ -457,7 +431,7 @@ def _a1_dec_sides(fr: Frame) -> list[tuple]:
 
 # -- the catalog --------------------------------------------------------------
 
-VERY_AMPLE_RULES = Catalog((
+VERY_AMPLE_RULES = (
     _rule(
         rule_id="R-FIBER",
         property_name="very_ample",
@@ -634,10 +608,10 @@ VERY_AMPLE_RULES = Catalog((
         ),
         special="quotient",
     ),
-))
+)
 
 
-AMPLE_RULES = Catalog((
+AMPLE_RULES = (
     _rule(
         rule_id="R-AMPLE",
         property_name="ample",
@@ -645,10 +619,10 @@ AMPLE_RULES = Catalog((
         scope="every divisor",
         cases=_only(Strength.IFF, "a >= 1 and b + a*mu^-(E) > 0"),
     ),
-))
+)
 
 
-GLOBALLY_GENERATED_RULES = Catalog((
+GLOBALLY_GENERATED_RULES = (
     _rule(
         rule_id="R-GG-A1",
         property_name="globally_generated",
@@ -663,10 +637,10 @@ GLOBALLY_GENERATED_RULES = Catalog((
         scope="a >= 1",
         cases=_only(Strength.SUFFICIENT, "b + a*mu^-(E) > 1"),
     ),
-))
+)
 
 
-NORMALLY_GENERATED_RULES = Catalog((
+NORMALLY_GENERATED_RULES = (
     _rule(
         rule_id="R-NG-BUTLER",
         property_name="normally_generated",
@@ -674,7 +648,7 @@ NORMALLY_GENERATED_RULES = Catalog((
         scope="a >= 1",
         cases=_only(Strength.SUFFICIENT, "b + a*mu^-(E) > 2"),
     ),
-))
+)
 
 
 ALL_RULES: tuple[Rule, ...] = (
@@ -684,6 +658,16 @@ ALL_RULES: tuple[Rule, ...] = (
     + NORMALLY_GENERATED_RULES
 )
 
-# each row by its id: the rule a verdict binds on, and the rows a trail
-# evaluates when it is read
+# each row by its id: the rule a verdict binds on, for `veryample classify`
 RULES_BY_ID: dict[str, Rule] = {rule.rule_id: rule for rule in ALL_RULES}
+
+# Whether a bundle admits each row, by rule id: the bundle parts of every
+# guard (`_bundle_part`), compiled into one function of the bundle alone, so
+# a part that read a or b would raise NameError.  A row a bundle excludes is
+# inapplicable in every frame on that bundle.
+admits: Callable[[Bundle], dict[str, bool]] = eval(
+    "lambda bundle: {%s}" % ", ".join(
+        f"{rule.rule_id!r}: {_bundle_part(rule.scope)}" for rule in ALL_RULES
+    ).replace("fr.bundle", "bundle"),
+    {"rank3_exception": rank3_exception},
+)

@@ -581,3 +581,19 @@ def test_readme_commands_run(capsys):
         if argv[:1] in (["python"], ["python3"]) and argv[1:2] and argv[1][0] != "-":
             assert os.path.isfile(os.path.join(os.path.dirname(README), argv[1])), argv
     assert len(commands) >= 5
+
+
+def test_readme_library_block_runs():
+    # the README's python block runs, and each line it comments with a value
+    # evaluates to that value's repr
+    with open(README, encoding="utf-8") as f:
+        block, = re.findall(r"```python\n(.*?)```", f.read(), re.S)
+    namespace, shown = {}, []
+    for line in block.splitlines():
+        code, _, value = line.partition("#")
+        if value:
+            shown.append(value.strip())
+            assert repr(eval(code, namespace)) == shown[-1], line
+        else:
+            exec(code, namespace)
+    assert shown == ["'Unknown'", "'(0, 2]'", "Fraction(2, 1)"]

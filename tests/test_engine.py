@@ -32,7 +32,7 @@ from veryample import (
     rank3_exception,
 )
 from veryample import engine, rules
-from veryample.engine import _classify, _decide_catalog, _merge, _trail
+from veryample.engine import _classify, _merge, _trail
 from veryample.rules import (
     ALL_RULES,
     AMPLE_RULES,
@@ -53,19 +53,19 @@ def va(text: str, a: int, b: int):
 
 class TestFrames:
     def test_canonical_frames_for_high_degree(self):
-        frame, = canonical_frames(parse_bundle("3:4"), Divisor(2, -1))
+        frame = canonical_frames(parse_bundle("3:4"), Divisor(2, -1))
         assert (frame.l, frame.bundle, frame.b) == (-1, parse_bundle("3:1"), 1)
 
     def test_canonical_frames_for_low_degree(self):
-        frame, = canonical_frames(parse_bundle("2:1"), Divisor(2, 0))
+        frame = canonical_frames(parse_bundle("2:1"), Divisor(2, 0))
         assert (frame.l, frame.bundle, frame.b) == (0, parse_bundle("2:1"), 0)
-        frame, = canonical_frames(parse_bundle("1:-3,2:-2"), Divisor(2, 0))
+        frame = canonical_frames(parse_bundle("1:-3,2:-2"), Divisor(2, 0))
         assert (frame.l, frame.bundle, frame.b) == (2, parse_bundle("1:-1,2:2"), -4)
 
     @settings(max_examples=150, derandomize=True)
     @given(bundles(), st.integers(0, 5), st.integers(-8, 8))
     def test_frames_land_in_fundamental_window(self, E, a, b):
-        frame, = canonical_frames(E, Divisor(a, b))
+        frame = canonical_frames(E, Divisor(a, b))
         assert 0 <= frame.bundle.degree < E.rank
         assert frame.bundle == E.twist(frame.l)
         assert frame.b == b - a * frame.l
@@ -81,7 +81,7 @@ class TestFrames:
             twisted = E.twist(l)
             for a in range(0, 7):
                 for b in range(-9, 9):
-                    here, = canonical_frames(E, Divisor(a, b))
+                    here = canonical_frames(E, Divisor(a, b))
                     there = Frame(l, twisted, a, b - a * l)
                     for rule in rows:
                         f, g = rule.evaluate(there), rule.evaluate(here)
@@ -225,7 +225,7 @@ class TestFiringTrail:
             for a in range(0, 5):
                 for b in range(-5, 6):
                     D = Divisor(a, b)
-                    frame, = canonical_frames(E, D)
+                    frame = canonical_frames(E, D)
                     fired = [f for f in classify_very_ample(E, D).firings
                              if f.rule_id != "R-QUOT-NEC"]
                     assert fired == [rule.evaluate(frame) for rule in rows], (str(E), a, b)
@@ -278,14 +278,14 @@ class TestGuards:
             (rule.rule_id, i) for rule in ALL_RULES for i in range(len(rule.cases))
         }
 
-    # the catalogs the engine asks for a bundle's admission
-    CATALOGS = (VERY_AMPLE_RULES, AMPLE_RULES, GLOBALLY_GENERATED_RULES,
-                NORMALLY_GENERATED_RULES, engine._SCREEN_RULES)
-
     def test_a_row_its_bundle_excludes_never_applies(self):
         # the guard split: a bundle part reads no cell field, and a row its
         # bundle excludes is inapplicable in every cell on that bundle, in
-        # the frame the engine evaluates it in (R-QUOT-NEC's untwisted)
+        # the frame the trail evaluates it in (R-QUOT-NEC's untwisted); the
+        # plan of each of the five catalogs admits exactly the other rows
+        assert list(engine._CATALOGS.values()) == [
+            VERY_AMPLE_RULES, AMPLE_RULES, GLOBALLY_GENERATED_RULES,
+            NORMALLY_GENERATED_RULES, engine._SCREEN_RULES]
         for rule in ALL_RULES:
             part = rules._bundle_part(rule.scope)
             assert not re.search(r"\bfr\.(a|b|sn|sd|l)\b", part), (rule.rule_id, part)
@@ -294,18 +294,35 @@ class TestGuards:
         for E in sweep:
             for a in range(0, 7):
                 for b in range(-9, 9):
-                    frame, = canonical_frames(E, Divisor(a, b))
-                    for catalog in self.CATALOGS:
-                        admitted, excluded = catalog.admission(frame.bundle)
-                        assert [r.rule_id for r in admitted] == [
-                            r.rule_id for r in catalog if r.rule_id not in excluded]
-                        for rule_id in excluded:
-                            rule = rules.RULES_BY_ID[rule_id]
+                    frame = canonical_frames(E, Divisor(a, b))
+                    admits = rules.admits(frame.bundle)
+                    for name, catalog in engine._CATALOGS.items():
+                        l, twisted, admitted = engine._twisted(name, E)
+                        assert (l, twisted) == (frame.l, frame.bundle)
+                        assert admitted == tuple(r for r in catalog if admits[r.rule_id])
+                        for rule in catalog:
+                            if admits[rule.rule_id]:
+                                continue
                             where = Frame(0, E, a, b) if rule.special else frame
                             assert rule.evaluate(where).outcome is Outcome.INAPPLICABLE, (
-                                rule_id, str(E), a, b)
+                                rule.rule_id, str(E), a, b)
                             excluded_decisions += 1
         assert (len(sweep), excluded_decisions) == (399, 968_562)
+
+    def test_cache_clear_leaves_no_per_bundle_state(self, monkeypatch):
+        # the plan cache and the screen's sub-sums hold all per-bundle
+        # state: once both are cleared, a bundle seen before is admitted again
+        E, D = parse_bundle("1:0,2:-1"), Divisor(2, 3)
+        classify_very_ample(E, D)
+        admitted, original = [], engine.admits
+        monkeypatch.setattr(engine, "admits", lambda F: admitted.append(F) or original(F))
+        classify_very_ample(E, D)
+        assert admitted == []
+        engine._twisted.cache_clear()
+        engine._proper_sub_multisets.cache_clear()
+        classify_very_ample(E, D)
+        # E's plan in l0 = 1, and the plan of the screened sub-sum 2:-1 in its l0
+        assert admitted == [E.twist(1), parse_bundle("2:1")]
 
     @pytest.mark.parametrize("scope", [
         "indecomposible",
@@ -363,7 +380,7 @@ class TestIntegerDecision:
         for E in TestGuards.SWEEP + small_bundles(4, 2):
             for a in range(0, 7):
                 for b in range(-9, 9):
-                    frame, = canonical_frames(E, Divisor(a, b))
+                    frame = canonical_frames(E, Divisor(a, b))
                     for rule in rows:
                         f = rule.evaluate(frame)
                         if f.strength is None:
@@ -422,12 +439,12 @@ WIDE_SUMS = [
     )
 ]
 
-# (property, rows, lower end of an Unknown window, least a it is defined for)
+# (property, lower end of an Unknown window, least a it is defined for)
 PROPERTIES = (
-    ("very_ample", VERY_AMPLE_RULES, (Fraction(0), True), 0),
-    ("ample", AMPLE_RULES, None, 0),
-    ("globally_generated", GLOBALLY_GENERATED_RULES, None, 1),
-    ("normally_generated", NORMALLY_GENERATED_RULES, None, 1),
+    ("very_ample", (Fraction(0), True), 0),
+    ("ample", None, 0),
+    ("globally_generated", None, 1),
+    ("normally_generated", None, 1),
 )
 
 
@@ -459,17 +476,17 @@ class TestDecidedMerge:
     off each decision's case text, against the one the trail's built
     Comparisons give."""
 
-    @pytest.mark.parametrize("name, rules, lo, min_a", PROPERTIES,
-                             ids=[p[0] for p in PROPERTIES])
-    def test_decisions_bind_as_the_trail_does(self, name, rules, lo, min_a):
+    @pytest.mark.parametrize("name, lo, min_a", PROPERTIES, ids=[p[0] for p in PROPERTIES])
+    def test_decisions_bind_as_the_trail_does(self, name, lo, min_a):
         cells = 0
         for E in small_bundles(4, 2) + WIDE_SUMS:
             for a in range(max(min_a, 0), 5):
                 for b in range(-5, 6):
                     D = Divisor(a, b)
-                    decided = _classify(name, rules, E, D, lo)
-                    firings = _trail(*_decide_catalog(rules, E, D), E, D)
-                    recorded = _merge(name, E, D, firings, lo, trail=lambda: firings)
+                    decided = _classify(name, E, D, lo)
+                    firings = _trail(name, E, D)
+                    recorded = _merge(name, E, D, pushforward_mu_minus(E, a, b), firings, lo,
+                                      trail=lambda: firings)
                     window = recorded.is_unknown and _comparison_window(firings, lo)
                     assert _summary(decided) == _summary(recorded, window), (str(E), a, b)
                     cells += 1
@@ -477,13 +494,10 @@ class TestDecidedMerge:
 
     def test_public_functions_decide(self):
         E, D = parse_bundle("1:-1,1:0,1:1,2:1,2:3"), Divisor(2, 1)
-        assert classify_very_ample(E, D) == _classify(
-            "very_ample", VERY_AMPLE_RULES, E, D, (Fraction(0), True))
-        assert classify_globally_generated(E, D) == _classify(
-            "globally_generated", GLOBALLY_GENERATED_RULES, E, D, None)
-        assert classify_normally_generated(E, D) == _classify(
-            "normally_generated", NORMALLY_GENERATED_RULES, E, D, None)
-        assert classify_ample(E, D) is _classify("ample", AMPLE_RULES, E, D, None).is_yes
+        assert classify_very_ample(E, D) == _classify("very_ample", E, D, (Fraction(0), True))
+        assert classify_globally_generated(E, D) == _classify("globally_generated", E, D, None)
+        assert classify_normally_generated(E, D) == _classify("normally_generated", E, D, None)
+        assert classify_ample(E, D) is _classify("ample", E, D, None).is_yes
 
 
 class TestLazyTrail:
@@ -513,27 +527,32 @@ class TestLazyTrail:
         assert classify_ample(E, Divisor(2, 2))
         assert verdicts[0].is_no and verdicts[0].binding_rule == "R-QUOT-NEC"
         assert (recorded, screened) == ([], [])
+        # an unread trail holds the property, E and D: no firing, no row id
+        D = Divisor(2, 2)
+        assert [v.trail.args for v in verdicts] == [
+            ("very_ample", E, D), ("very_ample", parse_bundle("1:2,2:3"), Divisor(2, -1)),
+            ("globally_generated", E, Divisor(2, 0)), ("normally_generated", E, Divisor(2, 5))]
         trail = verdicts[0].firings
         assert len(screened) == 1 and len(recorded) == 1
         assert verdicts[0].firings is trail
         assert len(recorded) == 1 and len(screened) == 1
-        D = Divisor(2, 2)
-        assert trail == _trail(*_decide_catalog(VERY_AMPLE_RULES, E, D), E, D)
+        assert trail == _trail("very_ample", E, D)
 
     def test_each_row_is_decided_once_per_frame(self, monkeypatch):
-        # Unknown, so the window is read too.  The cell evaluates the 5 rows
-        # the indecomposable 3:2 admits, once each; the trail evaluates the
-        # other 12 rows in the canonical frame and R-QUOT-NEC in the
-        # untwisted one, so every row is evaluated exactly once in all
+        # Unknown, so the window is read too.  3:5 twists to 3:2 in l0 = -1.
+        # The cell evaluates the 5 rows the indecomposable 3:2 admits, once
+        # each, in l0; the first read of the trail evaluates each of the 18
+        # rows once, in catalog order, R-QUOT-NEC in frame 0 and the others
+        # in l0; a second read evaluates nothing
         decided = self._count(monkeypatch, Rule, "evaluate")
-        v = classify_very_ample(parse_bundle("3:2"), Divisor(2, 0))
+        v = classify_very_ample(parse_bundle("3:5"), Divisor(2, -2))
         assert v.is_unknown and v.unknown_window.render() == "(0, 4/3]"
-        assert Counter(rule.rule_id for rule, _ in decided) == Counter(
-            ["R-FIBER", "R-MIYAOKA", "R-BUTLER", "R-A1-INDEC", "R-RK3-INDEC"])
+        cell = [(rule.rule_id, frame.l) for rule, frame in decided]
+        assert cell == [(rule_id, -1) for rule_id in (
+            "R-FIBER", "R-MIYAOKA", "R-BUTLER", "R-A1-INDEC", "R-RK3-INDEC")]
         v.firings
-        per_frame = Counter((rule.rule_id, frame.l) for rule, frame in decided)
-        assert set(per_frame.values()) == {1} and len(decided) == 18
-        assert {rule_id for rule_id, _ in per_frame} == {r.rule_id for r in VERY_AMPLE_RULES}
+        trail = [(rule.rule_id, frame.l) for rule, frame in decided[len(cell):]]
+        assert trail == [(rule.rule_id, 0 if rule.special else -1) for rule in VERY_AMPLE_RULES]
         before = len(decided)
         v.firings
         assert len(decided) == before
@@ -542,20 +561,26 @@ class TestLazyTrail:
         # on the decomposable 1:0,2:-1 at a = 2 the cell evaluates, in E's
         # frame, the 5 ordinary rows the bundle admits and decides
         # R-QUOT-NEC without Rule.evaluate (the screen evaluates rows only
-        # on the sub-sum 2:-1); the trail evaluates the 12 excluded rows and
-        # writes R-QUOT-NEC as one firing per screened sub-sum, in frame 0
+        # on the sub-sum 2:-1), also at a = 0, where it is inapplicable; the
+        # trail evaluates every row once on E, R-QUOT-NEC in frame 0, and
+        # writes it as one firing per screened sub-sum
         decided = self._count(monkeypatch, Rule, "evaluate")
         E = parse_bundle("1:0,2:-1")
-        for b, outcomes in ((2, ["no", "no"]), (3, ["pass", "pass"])):
+        admitted = ["R-FIBER", "R-MIYAOKA", "R-BUTLER", "R-A1-DEC", "R-RK3-DEC"]
+        for a, b, outcomes in ((2, 2, ["no", "no"]), (2, 3, ["pass", "pass"]),
+                               (0, 3, ["inapplicable"])):
             decided.clear()
-            v = classify_very_ample(E, Divisor(2, b))
+            v = classify_very_ample(E, Divisor(a, b))
             on_E = [rule.rule_id for rule, frame in decided if frame.bundle.rank == E.rank]
-            assert on_E == ["R-FIBER", "R-MIYAOKA", "R-BUTLER", "R-A1-DEC", "R-RK3-DEC"]
+            assert on_E == admitted  # at a = 0 too: admission reads the bundle only
+            cell = len(on_E)
             quotient = [f for f in v.firings if f.rule_id == "R-QUOT-NEC"]
             assert [(f.outcome.value, f.frame) for f in quotient] == [
                 (outcome, 0) for outcome in outcomes]
-            on_E = [rule.rule_id for rule, frame in decided if frame.bundle.rank == E.rank]
-            assert len(on_E) == len(set(on_E)) == 17 and "R-QUOT-NEC" not in on_E
+            on_E = [(rule.rule_id, frame.l, frame.bundle) for rule, frame in decided
+                    if frame.bundle.rank == E.rank][cell:]
+            assert on_E == [(rule.rule_id, 0, E) if rule.special else (rule.rule_id, 1, E.twist(1))
+                            for rule in VERY_AMPLE_RULES]
 
     def test_verdict_equality_and_repr_leave_the_trail_out(self):
         E, D = parse_bundle("1:2,2:3"), Divisor(2, -2)
@@ -669,10 +694,9 @@ _PRUNING_ROWS = {"R-FIBER", "R-MIYAOKA", "R-A1-DEC", "R-RK2-DEC", "R-RK3-DEC"}
 
 
 def _quotient_decision(E, D):
-    """R-QUOT-NEC's decision as a cell makes it where E admits the row, and
-    otherwise the inapplicable firing its trail records."""
-    frame, = canonical_frames(E, D)
-    if _QUOT.rule_id in VERY_AMPLE_RULES.admission(frame.bundle)[1]:
+    """R-QUOT-NEC's decision as a cell makes it where E's plan admits the
+    row, and otherwise the inapplicable firing its trail records."""
+    if _QUOT not in engine._twisted("very_ample", E)[2]:
         return _QUOT.evaluate(Frame(0, E, D.a, D.b))
     return engine._decide_quotient(E, D)
 
@@ -739,9 +763,9 @@ class TestQuotientScreen:
         if Q.is_indecomposable:
             return
         D = Divisor(a, b)
+        frame = canonical_frames(Q, D)
         saying_no = {
             rule.rule_id
-            for frame in canonical_frames(Q, D)
             for rule in engine._SCREEN_RULES
             if rule.evaluate(frame).outcome is Outcome.NO
         }
@@ -805,7 +829,7 @@ class TestMergeContract:
             self._firing("R-SYNTH-B", Strength.NECESSARY, Outcome.NO),
         )
         with pytest.raises(ContradictionError):
-            _merge("very_ample", parse_bundle("2:1"), Divisor(2, 1),
+            _merge("very_ample", parse_bundle("2:1"), Divisor(2, 1), Fraction(2),
                    firings, lo=(Fraction(0), True), trail=lambda: firings)
 
     def test_contradiction_on_decisions_quotes_the_trail(self):
@@ -817,10 +841,10 @@ class TestMergeContract:
         # as the rows return them: the trail's note is not on the decisions
         decisions = [f._replace(note="") for f in firings]
         with pytest.raises(ContradictionError) as decided:
-            _merge("very_ample", E, D, decisions, lo=(Fraction(0), True),
+            _merge("very_ample", E, D, Fraction(2), decisions, lo=(Fraction(0), True),
                    trail=lambda: firings)
         with pytest.raises(ContradictionError) as recorded:
-            _merge("very_ample", E, D, firings, lo=(Fraction(0), True),
+            _merge("very_ample", E, D, Fraction(2), firings, lo=(Fraction(0), True),
                    trail=lambda: firings)
         assert str(decided.value) == str(recorded.value)
         assert "R-SYNTH-A concludes yes (synthetic)" in str(decided.value)
@@ -830,9 +854,9 @@ class TestMergeContract:
             self._firing("R-SYNTH-Z", Strength.IFF, Outcome.YES),
             self._firing("R-SYNTH-A", Strength.SUFFICIENT, Outcome.YES),
         )
-        v = _merge("very_ample", parse_bundle("2:1"), Divisor(2, 1),
+        v = _merge("very_ample", parse_bundle("2:1"), Divisor(2, 1), Fraction(2),
                    firings, lo=(Fraction(0), True), trail=lambda: firings)
-        assert v.binding_rule == "R-SYNTH-Z"
+        assert v.binding_rule == "R-SYNTH-Z" and v.slope_invariant == Fraction(2)
         assert v.strength is Strength.IFF
 
 
