@@ -7,15 +7,18 @@ equality leaves out, so they are small __slots__ classes instead; this
 module gives them what a frozen record needs.
 
 An instance is immutable: its constructor sets the slots through
-object.__setattr__, and assigning or deleting an attribute afterwards
-raises AttributeError.  `_fields` names the slots that repr shows and that
-== and hash compare, in constructor order; == holds only between instances
-of the same class.
+`set_slot`, object.__setattr__ looked up once, and assigning or deleting
+an attribute afterwards raises AttributeError.  `_fields` names the slots
+that repr shows and that == and hash compare, in constructor order; ==
+holds only between instances of the same class.
 """
 
 from __future__ import annotations
 
-__all__ = ["Frozen", "validated_make"]
+__all__ = ["Frozen", "set_slot", "validated_make"]
+
+# the constructors write every slot through this one alias
+set_slot = object.__setattr__
 
 
 def validated_make(cls, iterable):
@@ -37,7 +40,7 @@ class Frozen:
     def __setstate__(self, state) -> None:
         # copy and pickle restore the slots through here
         for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+            set_slot(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from ._frozen import Frozen, validated_make
+from ._frozen import Frozen, set_slot, validated_make
 
 __all__ = [
     "IndecBundle",
@@ -33,7 +33,8 @@ class BundleParseError(ValueError):
     """Raised when bundle text does not match the r:d,r:d,... grammar."""
 
 
-_ATOM_RE = re.compile(r"^(\d+):(-?\d+)$")
+# ASCII digits only, matched whole: \d takes any Unicode digit
+_ATOM_RE = re.compile(r"([0-9]+):(-?[0-9]+)")
 
 
 class _IndecBundleFields(NamedTuple):
@@ -116,9 +117,9 @@ class Bundle(Frozen):
         if not normalized:
             raise ValueError("a bundle needs at least one atom")
         atoms = tuple(sorted(normalized))
-        object.__setattr__(self, "atoms", atoms)
+        set_slot(self, "atoms", atoms)
         # Frozen's hash of the key (atoms,), kept: every _twisted lookup hashes
-        object.__setattr__(self, "_hash", hash((atoms,)))
+        set_slot(self, "_hash", hash((atoms,)))
 
     def __getattr__(self, name: str):
         # reached only for an empty slot: derive the value once and keep it
@@ -129,7 +130,7 @@ class Bundle(Frozen):
                 f"'Bundle' object has no attribute {name!r}"
             ) from None
         value = derive(self)
-        object.__setattr__(self, name, value)
+        set_slot(self, name, value)
         return value
 
     def __eq__(self, other):
@@ -209,7 +210,7 @@ def parse_bundle(text: str) -> Bundle:
         raise BundleParseError("empty bundle text")
     atoms = []
     for chunk in text.strip().split(","):
-        m = _ATOM_RE.match(chunk.strip())
+        m = _ATOM_RE.fullmatch(chunk.strip())
         if m is None:
             raise BundleParseError(f"malformed atom {chunk.strip()!r}, expected r:d")
         try:

@@ -57,8 +57,10 @@ _MAX_RANK = 64  # total rank of the bundle
 _MAX_CELLS = 10**5  # cells of one table
 _MAX_TABLE_SCREEN = 2**18  # a table's cells times its bundle's distinct atoms
 _FOLD_FLAGS = ("--a", "--b", "--bundle")
-_INT_RE = re.compile(r"^-?\d+$")
-_RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+# ASCII digits only, matched whole: \d takes any Unicode digit and $ a
+# trailing newline
+_INT_RE = re.compile(r"-?[0-9]+")
+_RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
 
 class UsageError(Exception):
@@ -113,9 +115,9 @@ def _capped_bundle(text: str) -> Bundle:
 
 
 def _single_int(flag: str, text: str) -> int:
-    if _INT_RE.match(text):
+    if _INT_RE.fullmatch(text):
         return _to_int(flag, text)
-    if _RANGE_RE.match(text):
+    if _RANGE_RE.fullmatch(text):
         raise UsageError(
             f"{flag} takes a single integer here; lo..hi ranges only work with 'table'"
         )
@@ -123,10 +125,10 @@ def _single_int(flag: str, text: str) -> int:
 
 
 def _int_range(flag: str, text: str) -> range:
-    if _INT_RE.match(text):
+    if _INT_RE.fullmatch(text):
         v = _to_int(flag, text)
         return range(v, v + 1)
-    m = _RANGE_RE.match(text)
+    m = _RANGE_RE.fullmatch(text)
     if m is None:
         raise UsageError(f"{flag} expects an integer or lo..hi, got {text!r}")
     lo, hi = _to_int(flag, m.group(1)), _to_int(flag, m.group(2))

@@ -23,12 +23,12 @@ label is only printed.  Each text is parsed once, when the catalog is
 built, and an unknown phrase fails there.  A condition is a named one
 (`_NAMED`, such as "E ample" or "deg = 0 (mod rank)"), a count on a, the
 rank or the frame degree ("a >= 2", "rank 4"), "P needs Q and R" (P
-implies Q and R), or a comparison; a guard, or a case's condition,
-compiles into one function of the frame (`_compile`).  A guard's bundle
-part is its conditions that read only the frame's bundle (the rank, the
-frame degree, (in)decomposable, "E ample", the degree mod the rank, 3 or
-2), and its cell part those that read a or b; a case's condition reads the
-bundle only.  A catalog is a plain tuple of rows.  The bundle parts of all
+implies Q and R), or a comparison, and each compiles into an expression
+in the frame (`_expression`).  A guard's bundle part is its conditions
+that read only the frame's bundle (the rank, the frame degree,
+(in)decomposable, "E ample", the degree mod the rank, 3 or 2), and its
+cell part those that read a or b; a case's condition reads the bundle
+only.  A catalog is a plain tuple of rows.  The bundle parts of all
 the rows compile into one function of the bundle (`admits`), which says by
 rule id which rows a bundle admits: every other row is inapplicable there.
 The engine asks it once per bundle and evaluates only the admitted rows in
@@ -40,16 +40,16 @@ rules` prints, the rows that screen the quotient scrolls for R-QUOT-NEC
 Unknown window, which the engine reads off the case text of each
 applicable sufficient row whose only comparison is on s (`S_LABEL`,
 `window_end`): `s > t` leaves (.., t] open and `s >= t` leaves (.., t)
-open.  Two rows compare more than their text:
-R-A1-DEC compares every summand, so its one case is compiled by hand, and
-R-QUOT-NEC is decided by the engine's quotient screen
-(`special="quotient"`).
+open.  Two rows compare more than their text (`_BY_HAND`): R-A1-DEC
+compares every summand, and R-QUOT-NEC is decided by the engine's quotient
+screen (`special="quotient"`).
 
 Comparisons are affine data: a left-hand side is an `_LHS` (beta, k, m),
 beta*b + k*a + m with k and m integer pairs of the frame (`_QUANTITY`), and
 a right-hand side a number or an `_RHS` pair.  Each is decided in integers,
-cross-multiplied over positive denominators in a compiled function, and
-built as a Comparison only when the trail, a window or a witness reads it.
+cross-multiplied over positive denominators in the row's compiled
+function, and built as a Comparison only when the trail, a window or a
+witness reads it.
 
 Only rows that can bind are kept.  A sufficient row implied by another
 under the same guard (s >= 3 by R-BUTLER's s > 2), or a necessary row whose
@@ -58,8 +58,11 @@ thresholds), never changes a verdict, a window or a binding rule.
 
 One method decides a row: `Rule.evaluate` returns its RuleFiring in a
 frame (guard, deciding case, comparisons), which is both the decision the
-engine merges on and the line the trail shows.  A failed guard's note is
-built once per row, when the row is.
+engine merges on and the line the trail shows.  A Rule and its Cases are
+data only.  The whole row, its guard, case conditions, integer comparisons
+and outcome table, compiles into one function of the frame that returns
+the firing (`_row`), the first time the row is evaluated: the import
+compiles no row, and a process compiles only the rows it decides.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from ._frozen import Frozen
+from ._frozen import Frozen, set_slot
 # unused here; kept because perfbench/tracing.py wraps rules.sym_power_split
 from .atiyah import sym_power_split  # noqa: F401
 from .bundles import Bundle
@@ -101,13 +104,13 @@ class Frame(Frozen):
     _fields = ("l", "bundle", "a", "b")
 
     def __init__(self, l: int, bundle: Bundle, a: int, b: int) -> None:
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        set_slot(self, "l", l)
+        set_slot(self, "bundle", bundle)
+        set_slot(self, "a", a)
+        set_slot(self, "b", b)
         low = bundle.slope_ends[0]
-        object.__setattr__(self, "sn", b * low.rank + a * low.degree)
-        object.__setattr__(self, "sd", low.rank)
+        set_slot(self, "sn", b * low.rank + a * low.degree)
+        set_slot(self, "sd", low.rank)
 
     @property
     def s(self) -> Fraction:
@@ -135,34 +138,26 @@ _OUTCOMES = {
 }
 
 
-class Compiled(NamedTuple):
-    """A case's comparisons: `holds` decides all in integers, `build` builds."""
-
-    holds: Callable[[Frame], bool]
-    build: Callable[[Frame], tuple[Comparison, ...]]
-
-
 class Case(NamedTuple):
-    """One case of a row: where it holds (`when`, parsed from `label`;
-    None for every frame left), the strength it decides with there, and its
-    comparisons, as written (`text`) and as compiled (`comparisons`)."""
+    """One case of a row: where it holds (`label`, a condition; the last
+    case takes every frame left), the strength it decides with there, and
+    its comparisons, as written (`text`) and as built in a frame
+    (`comparisons`, which also keeps the case's window end)."""
 
     label: str
-    when: Optional[Callable[[Frame], bool]]
     strength: Strength
     text: str
-    comparisons: Compiled
+    comparisons: _Text
 
 
 class Rule(NamedTuple):
-    """One catalog row: a guard (`applies`, parsed from its text `scope`)
-    and the cases that decide it where the guard holds."""
+    """One catalog row: a guard (its text `scope`) and the cases that
+    decide it where the guard holds."""
 
     rule_id: str
     property_name: str
     citation: str
     scope: str
-    applies: Callable[[Frame], bool]
     cases: tuple[Case, ...]
     special: Optional[str] = None
 
@@ -192,24 +187,7 @@ class Rule(NamedTuple):
     def evaluate(self, frame: Frame) -> RuleFiring:
         """The row's firing in frame: the guard, the first case that holds and
         its comparisons, built when read; strength None if the guard fails."""
-        if not self.applies(frame):
-            return RuleFiring(
-                self.rule_id, self.citation, None, Outcome.INAPPLICABLE, frame.l,
-                (), _UNMET[self.scope],
-            )
-        for case in self.cases:
-            if case.when is None or case.when(frame):
-                break
-        return RuleFiring(
-            self.rule_id, self.citation, case.strength,
-            _OUTCOMES[case.strength][case.comparisons.holds(frame)], frame.l,
-            DeferredComparisons(case.comparisons.build, frame),
-        )
-
-
-# "guard not met (<scope>)" by scope: built once per row, by _rule, rather
-# than once per inapplicable firing.
-_UNMET: dict[str, str] = {}
+        return _row(self.rule_id)(frame)
 
 
 # -- comparisons as data ------------------------------------------------------
@@ -287,6 +265,8 @@ def _parse(text: str) -> tuple[str, str, str, str, str, str]:
 def _builder(text: str) -> Callable[[Frame], tuple[Comparison, ...]]:
     """The comparisons of `text`, joined by " and ", built as Comparisons:
     compiled on first use, as only a read of the comparisons needs it."""
+    if text in _BY_HAND:
+        return _BY_HAND[text][1]
     comps = "".join(
         f"Comparison({label!r}, Fraction({num}, {den}), {op!r}, Fraction({tn}, {td})), "
         for label, op, num, den, tn, td in map(_parse, text.split(" and "))
@@ -372,15 +352,6 @@ def _expression(text: str) -> str:
     return f"({_times(num, td)} {op} {_times(tn, den)})"
 
 
-def _compile(texts: list[str]) -> Callable[[Frame], bool]:
-    """The conjunction of the conditions `texts`, compiled once into one
-    function of the frame.  It costs what a hand-written lambda does, where
-    a closure per condition would add a call per condition to every row
-    decided in every frame."""
-    body = " and ".join(_expression(text) for text in texts)
-    return eval(f"lambda fr: {body}", {"rank3_exception": rank3_exception})
-
-
 def _conditions(scope: str) -> list[str]:
     """A guard's conditions: its text split at ", " and "; "."""
     return re.split("[,;] ", scope)
@@ -395,27 +366,70 @@ def _bundle_part(scope: str) -> str:
     return " and ".join(parts) or "True"
 
 
+def _holds(text: str) -> str:
+    """The expression in `fr` that decides the comparisons `text`, joined
+    by " and ", or a text compiled by hand (`_BY_HAND`)."""
+    if text in _BY_HAND:
+        return _BY_HAND[text][0]
+    return " and ".join(map(_expression, text.split(" and ")))
+
+
+@lru_cache(maxsize=None)
+def _row(rule_id: str) -> Callable[[Frame], RuleFiring]:
+    """The catalog row `rule_id` compiled into one function of the frame
+    that returns its firing, compiled on first use: a process compiles only
+    the rows it evaluates, and the import compiles none."""
+    rule = RULES_BY_ID[rule_id]
+    names = {
+        "new": tuple.__new__, "RF": RuleFiring, "D": DeferredComparisons,
+        "RID": rule.rule_id, "CIT": rule.citation, "INAP": Outcome.INAPPLICABLE,
+        "NOTE": f"guard not met ({rule.scope})",
+        "rank3_exception": rank3_exception, "_a1_dec_sides": _a1_dec_sides,
+    }
+    for i, case in enumerate(rule.cases):
+        # the case's (strength, outcome, comparisons), by whether they hold
+        names[f"K{i}"] = tuple((case.strength, outcome, case.comparisons)
+                               for outcome in _OUTCOMES[case.strength])
+    return eval(_row_source(rule), names)
+
+
+def _row_source(rule: Rule) -> str:
+    """The source of `_row`: where the guard holds, the first case whose
+    condition holds picks its K by whether its comparisons hold, and one
+    shared constructor builds the firing from it."""
+    last = len(rule.cases) - 1
+    pick = " else ".join(
+        f"K{i}[{_holds(case.text)}]" + (f" if {_expression(case.label)}" if i < last else "")
+        for i, case in enumerate(rule.cases)
+    )
+    guard = " and ".join(map(_expression, _conditions(rule.scope)))
+    return (
+        f"lambda fr: new(RF, (RID, CIT, (k := {pick})[0], k[1], fr.l, D(k[2], fr), ''))"
+        f" if {guard} else new(RF, (RID, CIT, None, INAP, fr.l, (), NOTE))"
+    )
+
+
 def _rule(
     rule_id: str, property_name: str, citation: str, scope: str,
     cases: tuple[Case, ...], special: Optional[str] = None,
 ) -> Rule:
     """A row whose guard is its `scope`, all of it: `Rule.evaluate` decides
-    the row in any frame by itself."""
-    applies = _compile(_conditions(scope))
-    _UNMET[scope] = f"guard not met ({scope})"
-    return Rule(rule_id, property_name, citation, scope, applies, cases, special)
+    the row in any frame by itself.  The guard is parsed here, so an unknown
+    phrase fails when the catalog is built."""
+    for condition in _conditions(scope):
+        _expression(condition)
+    return Rule(rule_id, property_name, citation, scope, cases, special)
 
 
 def _cases(*cases: tuple[str, Strength, str]) -> tuple[Case, ...]:
     """A row's cases, each (label, strength, comparisons joined by " and ");
-    each case but the last holds where its label, as a condition, does."""
-    return tuple(
-        Case(
-            label, _compile([label]) if i < len(cases) - 1 else None, strength,
-            text, Compiled(_compile(text.split(" and ")), _Text(text)),
-        )
-        for i, (label, strength, text) in enumerate(cases)
-    )
+    each case but the last holds where its label, as a condition, does.
+    Each label but the last and each text is parsed here."""
+    for i, (label, _, text) in enumerate(cases):
+        if i < len(cases) - 1:
+            _expression(label)
+        _holds(text)
+    return tuple(Case(label, strength, text, _Text(text)) for label, strength, text in cases)
 
 
 def _only(strength: Strength, text: str) -> tuple[Case, ...]:
@@ -427,6 +441,27 @@ def _a1_dec_sides(fr: Frame) -> list[tuple]:
     # each summand A, the numerator of b + mu(A) over rank A, and its threshold
     return [(A, fr.b * A.rank + A.degree, 3 if A.degree % A.rank == 0 else 2)
             for A in fr.bundle.atoms]
+
+
+_A1_DEC_TEXT = "b + mu(E_j) >= 3 when deg = 0 (mod rank), else >= 2"
+_QUOT_TEXT = (
+    "the restriction to P(Q) admits no negative rule (rank-1 Q: "
+    "b + a*deg(Q) >= 3); screened on the Q that can fail first: "
+    "the lowest line and each non-line atom"
+)
+
+# The two case texts that compare more than their words: each with its
+# expression in `fr` and its builder.  R-A1-DEC compares every summand, and
+# R-QUOT-NEC holds wherever its guard does, as the engine's quotient screen
+# decides it.
+_BY_HAND: dict[str, tuple[str, Callable[[Frame], tuple[Comparison, ...]]]] = {
+    _A1_DEC_TEXT: (
+        "all(n >= t * A.rank for A, n, t in _a1_dec_sides(fr))",
+        lambda fr: tuple(Comparison(f"b + mu({A})", Fraction(n, A.rank), ">=", Fraction(t))
+                         for A, n, t in _a1_dec_sides(fr)),
+    ),
+    _QUOT_TEXT: ("True", lambda fr: ()),
+}
 
 
 # -- the catalog --------------------------------------------------------------
@@ -475,15 +510,7 @@ VERY_AMPLE_RULES = (
         property_name="very_ample",
         citation="Gushel's classification for a = 1, summand by summand",
         scope="a = 1, decomposable",
-        cases=(
-            Case("every summand", None, Strength.IFF,
-                 "b + mu(E_j) >= 3 when deg = 0 (mod rank), else >= 2",
-                 Compiled(
-                     lambda fr: all(n >= t * A.rank for A, n, t in _a1_dec_sides(fr)),
-                     lambda fr: tuple(Comparison(f"b + mu({A})", Fraction(n, A.rank), ">=",
-                                                 Fraction(t)) for A, n, t in _a1_dec_sides(fr)),
-                 )),
-        ),
+        cases=_cases(("every summand", Strength.IFF, _A1_DEC_TEXT)),
     ),
     _rule(
         rule_id="R-RK2-INDEC",
@@ -597,15 +624,7 @@ VERY_AMPLE_RULES = (
         property_name="very_ample",
         citation="necessity via restriction to quotient scrolls P(Q)",
         scope="a >= 1, decomposable",
-        cases=(
-            Case(
-                "every proper summand sub-sum Q", None, Strength.NECESSARY,
-                "the restriction to P(Q) admits no negative rule (rank-1 Q: "
-                "b + a*deg(Q) >= 3); screened on the Q that can fail first: "
-                "the lowest line and each non-line atom",
-                Compiled(lambda fr: True, lambda fr: ()),
-            ),
-        ),
+        cases=_cases(("every proper summand sub-sum Q", Strength.NECESSARY, _QUOT_TEXT)),
         special="quotient",
     ),
 )

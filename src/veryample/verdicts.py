@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from ._frozen import Frozen, validated_make
+from ._frozen import Frozen, set_slot, validated_make
 
 __all__ = [
     "Status",
@@ -238,14 +238,14 @@ class Verdict(Frozen):
         unknown_reason: Optional[str] = None,
         slope_invariant: Optional[Fraction] = None,
     ) -> None:
-        object.__setattr__(self, "property_name", property_name)
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "strength", strength)
-        object.__setattr__(self, "binding_rule", binding_rule)
-        object.__setattr__(self, "trail", trail)
-        object.__setattr__(self, "unknown_window", unknown_window)
-        object.__setattr__(self, "unknown_reason", unknown_reason)
-        object.__setattr__(self, "slope_invariant", slope_invariant)
+        set_slot(self, "property_name", property_name)
+        set_slot(self, "outcome", outcome)
+        set_slot(self, "strength", strength)
+        set_slot(self, "binding_rule", binding_rule)
+        set_slot(self, "trail", trail)
+        set_slot(self, "unknown_window", unknown_window)
+        set_slot(self, "unknown_reason", unknown_reason)
+        set_slot(self, "slope_invariant", slope_invariant)
 
     @property
     def firings(self) -> tuple[RuleFiring, ...]:
@@ -253,7 +253,7 @@ class Verdict(Frozen):
         try:
             return self._firings
         except AttributeError:
-            object.__setattr__(self, "_firings", self.trail())
+            set_slot(self, "_firings", self.trail())
             return self._firings
 
     @property

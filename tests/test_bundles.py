@@ -69,7 +69,9 @@ class TestGrammar:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "  ", "0:1", "2:", ":3", "x", "1:2,,2:3", "1.5:2", "2:3;1:1", "-1:2"],
+        ["", "  ", "0:1", "2:", ":3", "x", "1:2,,2:3", "1.5:2", "2:3;1:1", "-1:2",
+         # digits other than ASCII ones: Arabic-Indic 2:1, and a full-width 3
+         "\u0662:\u0661", "1:\uff13"],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(BundleParseError):
@@ -188,10 +190,6 @@ class TestAmpleness:
         assert B.is_ample == (B.mu_minus > 0)
 
 
-def _always(frame):
-    return True
-
-
 def _no_comparisons(frame):
     return ()
 
@@ -223,12 +221,12 @@ VALUES = [
         "Frame(l=0, bundle=Bundle(atoms=(IndecBundle(rank=2, degree=1),)), a=2, b=-1)",
     ),
     (
-        lambda: Rule("R-X", "very_ample", "c", "every divisor", _always,
-                     (Case("", None, Strength.IFF, "a >= 1", _no_comparisons),)),
+        lambda: Rule("R-X", "very_ample", "c", "every divisor",
+                     (Case("", Strength.IFF, "a >= 1", _no_comparisons),)),
         "rule_id",
         "Rule(rule_id='R-X', property_name='very_ample', citation='c', "
-        f"scope='every divisor', applies={_always!r}, cases=(Case(label='', "
-        "when=None, strength=<Strength.IFF: 'iff'>, text='a >= 1', "
+        "scope='every divisor', cases=(Case(label='', "
+        "strength=<Strength.IFF: 'iff'>, text='a >= 1', "
         f"comparisons={_no_comparisons!r}),), special=None)",
     ),
     (

@@ -157,6 +157,21 @@ class TestExitCodes:
         assert "empty range" in err
 
     @pytest.mark.parametrize("argv", [
+        ("classify", "--bundle", "\u0662:\u0661", "--a", "3", "--b", "1"),
+        ("classify", "--bundle", "2:1", "--a", "\u0663", "--b", "1"),
+        ("classify", "--bundle", "2:1", "--a", "2\n", "--b", "1"),
+        ("invariants", "--bundle", "2:1", "--a", "2", "--b", "1\n"),
+        ("table", "--bundle", "2:1", "--a", "1..\u0663", "--b", "0"),
+        ("table", "--bundle", "2:1", "--a", "2", "--b", "0..1\n"),
+    ], ids=["bundle", "a", "a-newline", "b-newline", "table-range", "range-newline"])
+    def test_only_ascii_digits_are_integers(self, capsys, argv):
+        # \d matches any Unicode digit and $ a trailing newline; the grammar
+        # takes neither
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
         ("classify", "--bundle", "2:1", "--a", "9" * 5000, "--b", "0"),
         ("table", "--bundle", "2:1", "--a", "2", "--b", "0.." + "9" * 5000),
         ("classify", "--bundle", "1:0,1:" + "9" * 5000, "--a", "2", "--b", "0"),
@@ -498,6 +513,34 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_compiles_no_catalog_row():
+    # the catalog's rows compile on first use: the import evaluates no
+    # source that reads a frame, while a classification does
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    spy = (
+        "import builtins\n"
+        "seen, real = [], builtins.eval\n"
+        "def spy(source, *args):\n"
+        "    seen.append(source if isinstance(source, str) else '')\n"
+        "    return real(source, *args)\n"
+        "builtins.eval = spy\n"
+        "import veryample.cli\n"
+        "at_import = list(seen)\n"
+        "veryample.cli.main(['classify', '--bundle', '2:1', '--a', '2', '--b', '1'])\n"
+        "print(sum('fr.' in s for s in at_import), "
+        "any('lambda bundle:' in s for s in at_import), "
+        "sum('fr.' in s for s in seen[len(at_import):]) > 0)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", spy], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the last line: rows compiled at import, the spy saw rules.admits, and
+    # the classification compiled rows
+    assert proc.stdout.splitlines()[-1] == "0 True True"
 
 
 def test_module_entry_point():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import functools
 import hashlib
 import itertools
 import json
@@ -231,6 +233,12 @@ class TestFiringTrail:
                     assert fired == [rule.evaluate(frame) for rule in rows], (str(E), a, b)
 
 
+def _condition(text, frame):
+    # one condition or comparison, decided by the expression a row compiles
+    return eval(rules._expression(text),
+                {"fr": frame, "rank3_exception": rules.rank3_exception})
+
+
 class TestGuards:
     # every indecomposable atom of rank 2..8 in its lowest frame, and every
     # decomposable sum of rank 2..6 with atom degrees 0 and 1, so the guards
@@ -270,7 +278,7 @@ class TestGuards:
         decided = {
             (rule.rule_id, next(
                 i for i, case in enumerate(rule.cases)
-                if case.when is None or case.when(frame)
+                if i == len(rule.cases) - 1 or _condition(case.label, frame)
             ))
             for (rule, _), frame in applied.items()
         }
@@ -391,13 +399,19 @@ class TestIntegerDecision:
                         applied += 1
         assert applied == 336_952
 
+    def test_every_row_source_parses_as_python_3_10(self):
+        # the rows compile on first use from generated source; the oldest
+        # Python CI runs must parse every one of them
+        for rule in ALL_RULES:
+            ast.parse(rules._row_source(rule), feature_version=(3, 10))
+
     @staticmethod
     def _check(frame, label, text, lhs, op, rhs):
         _, _, num, den, _, _ = rules._parse(text)
         num, den = eval(num, {"fr": frame}), eval(den, {"fr": frame})
         assert den > 0 and Fraction(num, den) == lhs, text
         expected = lhs > rhs if op == ">" else lhs >= rhs
-        assert rules._compile([text])(frame) is expected, text
+        assert _condition(text, frame) is expected, text
         built, = rules._builder(text)(frame)
         assert (built.lhs, built.op, built.rhs, built.holds) == (lhs, op, rhs, expected), text
 
@@ -732,7 +746,7 @@ class TestQuotientScreen:
         rejects = {}  # (Q, a, b) -> does Q carry a witness; sub-sums repeat
 
         def oracle(E, subs, D):
-            if not _QUOT.applies(Frame(0, E, D.a, D.b)):
+            if _QUOT.evaluate(Frame(0, E, D.a, D.b)).outcome is Outcome.INAPPLICABLE:
                 return Outcome.INAPPLICABLE
             for Q in subs:
                 key = (Q, D.a, D.b)
@@ -976,3 +990,25 @@ class TestEngineInvariants:
                         assert v.unknown_window.hi == hi
                     else:
                         assert v.is_yes
+
+    def test_very_ample_plus_globally_generated_is_never_no(self):
+        # a very ample D plus a globally generated G is very ample, so no
+        # VeryAmple cell may sit with a NotVeryAmple one at D + G: G is a
+        # Yes of the GG catalog at a' in {1, 2}, or (0, k) for k in {2, 3},
+        # a pullback from the curve
+        grid_a, grid_b = range(1, 7), range(-9, 10)
+        implications = 0
+        for E in small_bundles(4, 2):
+            status = functools.cache(lambda a, b: classify_very_ample(E, Divisor(a, b)).outcome)
+            gg = [(a2, b2) for a2 in (1, 2) for b2 in grid_b
+                  if classify_globally_generated(E, Divisor(a2, b2)).is_yes]
+            gg += [(0, 2), (0, 3)]
+            for a in grid_a:
+                for b in grid_b:
+                    if status(a, b) is not Status.YES:
+                        continue
+                    for a2, b2 in gg:
+                        assert status(a + a2, b + b2) is not Status.NO, (
+                            str(E), (a, b), (a2, b2))
+                    implications += len(gg)
+        assert implications == 129_451
