@@ -161,8 +161,21 @@ class Bundle(Frozen):
         )
 
     def twist(self, l: int) -> "Bundle":
-        """Tensor with a degree-l line bundle, atom by atom."""
-        return Bundle(atom.twist(l) for atom in self.atoms)
+        """Tensor with a degree-l line bundle, atom by atom.  A twist adds
+        r*l to the degree of each atom of rank r, which keeps the atoms'
+        (rank, degree) order, so they are neither sorted nor validated
+        again, and it keeps the rank and adds rank*l to the degree;
+        twist(0) is the bundle itself."""
+        if l == 0:
+            return self
+        new = tuple.__new__
+        atoms = tuple([new(IndecBundle, (r, d + r * l)) for r, d in self.atoms])
+        twisted = object.__new__(Bundle)
+        set_slot(twisted, "atoms", atoms)
+        set_slot(twisted, "_hash", hash((atoms,)))
+        set_slot(twisted, "rank", self.rank)
+        set_slot(twisted, "degree", self.degree + self.rank * l)
+        return twisted
 
     def dual(self) -> "Bundle":
         return Bundle(atom.dual() for atom in self.atoms)

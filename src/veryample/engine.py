@@ -10,25 +10,31 @@ anything.
 One plan per bundle.  The plan of a catalog on E (`_twisted`, the one
 cache keyed by bundle besides the screen's sub-sums) holds l0, E(l0) and
 the rows of the catalog that E(l0) admits (`rules.admits`, from each
-guard's bundle part); a row it excludes is inapplicable in every cell on
-that bundle.  A cell reads the plan once, builds one frame and evaluates
-only the admitted rows, each once, by `Rule.evaluate`.  R-QUOT-NEC is
-admitted on the canonical bundle, as its bundle part, "decomposable", is
-the same in every twist; admitted, its guard is down to a >= 1, so it is
-decided without evaluating a row: No as soon as one screened sub-sum Q has
-a negative witness, so its screen stops there, and each Q is screened by
-the rows of its own plan.  The verdict binds on these decisions, the
-strongest No or Yes found in one pass, reads its slope invariant off the
-frame and its Unknown window's upper end off the case texts of the
-sufficient ones; an excluded row says neither yes nor no and compares
-nothing, so it would change neither.
+guard's bundle part), each as its id and its decider
+(`rules.decider`); a row it excludes is inapplicable in every cell on
+that bundle.  A cell reads the plan once, builds one frame and calls
+only the admitted rows' deciders, each once.  A decider returns its
+case's constant (strength, outcome, comparisons), or None where the guard
+fails, and builds no record.  R-QUOT-NEC is admitted on the canonical
+bundle, as its bundle part, "decomposable", is the same in every twist;
+admitted, its guard is down to a >= 1, and its decider is the screen,
+which the plan holds: the lowest line's degree and each non-line atom's
+own plan.  It returns the row's No as soon as one screened sub-sum Q has
+a negative witness, so it stops there, and its pass otherwise.  The
+verdict binds on these decisions, the strongest No or Yes found in one
+pass, reads its slope invariant off the frame and its Unknown window's
+upper end off the case texts of the insufficient ones (`_Text.end`); an
+excluded row says neither yes nor no and compares nothing, so it would
+change neither.
 
 The trail comes from the catalog alone.  A verdict keeps the property, E
 and D, plain data, so it pickles; the first read of its `firings`
-evaluates every row of the catalog in the canonical frame, R-QUOT-NEC in
-frame 0, the untwisted one, where it applies screened again for one firing
-per screened sub-sum, and sorts them by rule id.  `Rule.evaluate` decides
-any row in any frame by itself, so the trail shows what the cell decided.
+evaluates every row of the catalog in the canonical frame by
+`Rule.evaluate`, which is the row's decider and one RuleFiring
+constructor, R-QUOT-NEC in frame 0, the untwisted one, where it applies
+screened again for one firing per screened sub-sum, and sorts them by
+rule id.  A decider decides its row in any frame by itself, so the trail
+shows what the cell decided.
 
 The quotient screen.  R-QUOT-NEC restricts D to the quotient scrolls P(Q),
 Q a proper sub-sum of E's atoms, and says No when a row that can say No
@@ -82,7 +88,8 @@ from .rules import (
     Frame,
     Rule,
     admits,
-    window_end,
+    decider,
+    entries,
 )
 from .verdicts import (
     Comparison,
@@ -145,7 +152,7 @@ def canonical_frames(E: Bundle, D: Divisor) -> Frame:
     return Frame(l, E.twist(l), D.a, D.b - D.a * l)
 
 
-# -- quotient-scroll necessity (R-QUOT-NEC) ----------------------------------
+# -- the plan, and the quotient screen (R-QUOT-NEC) ---------------------------
 
 # Rows that can output No; sufficient-only rows are pointless when screening
 # restrictions for a negative witness.
@@ -164,15 +171,25 @@ _CATALOGS: dict[str, tuple[Rule, ...]] = {
 }
 
 
+# the members a cell compares, read once: on Python 3.11 an enum member read
+# off its class (Outcome.NO) takes ten times as long as a global
+_NO, _YES, _INSUFFICIENT = Outcome.NO, Outcome.YES, Outcome.INSUFFICIENT
+_IFF, _STATUS_NO, _STATUS_YES = Strength.IFF, Status.NO, Status.YES
+
+
 @lru_cache(maxsize=8192)
-def _twisted(catalog: str, E: Bundle) -> tuple[int, Bundle, tuple[Rule, ...]]:
+def _twisted(catalog: str, E: Bundle) -> tuple[int, Bundle, tuple[tuple[str, Callable], ...]]:
     """The plan of `catalog` on E: the canonical twist l0, E(l0), and the
-    rows of the catalog that E(l0) admits, in catalog order.  Sweeps decide
+    rows of the catalog that E(l0) admits, in catalog order, each as its id
+    and its decider; R-QUOT-NEC's decider holds its screen.  Sweeps decide
     every cell of a bundle on the same plan."""
     l = -(E.degree // E.rank)
     twisted = E.twist(l)
     admitted = admits(twisted)
-    return l, twisted, tuple(r for r in _CATALOGS[catalog] if admitted[r.rule_id])
+    return l, twisted, tuple(
+        (r.rule_id, decider(r.rule_id) if r.special is None else _quotient_decider(E))
+        for r in _CATALOGS[catalog] if admitted[r.rule_id]
+    )
 
 
 @lru_cache(maxsize=2048)
@@ -180,10 +197,43 @@ def _proper_sub_multisets(E: Bundle) -> tuple[Bundle, ...]:
     """The proper sub-sums the quotient screen visits, in (rank, atoms)
     order: the lowest line and each distinct non-line atom (module
     docstring)."""
-    # atoms sort by (rank, degree), so a line E.atoms[0] is the lowest one
-    subs = {Bundle((A,)) for A in E.atoms if A.rank > 1 or A == E.atoms[0]}
-    subs.discard(E)
-    return tuple(sorted(subs, key=lambda Q: (Q.rank, Q.atoms)))
+    # atoms sort by (rank, degree), so a line E.atoms[0] is the lowest one,
+    # and the distinct atoms come in the order of their sub-sums
+    if len(E.atoms) == 1:
+        return ()
+    lowest = E.atoms[0]
+    return tuple(Bundle((A,)) for A in dict.fromkeys(E.atoms) if A.rank > 1 or A == lowest)
+
+
+_QUOTIENT = next(r for r in VERY_AMPLE_RULES if r.special == "quotient")
+# its decisions, No and pass, by whether no screened sub-sum has a witness
+_QUOTIENT_DECISIONS = entries(_QUOTIENT.cases[0])
+
+
+def _quotient_decider(E: Bundle) -> Callable[[Frame], Optional[tuple]]:
+    """R-QUOT-NEC's decider on a bundle that admits it, holding its screen:
+    the lowest line's degree (None if the screen visits no line) and the
+    screen plan of each non-line sub-sum."""
+    subs = _proper_sub_multisets(E)
+    line = subs[0].degree if subs and subs[0].rank == 1 else None
+    return partial(_decide_quotient, line,
+                   tuple(_twisted("screen", Q) for Q in subs if Q.rank > 1))
+
+
+def _decide_quotient(line: Optional[int], plans: tuple, fr: Frame) -> Optional[tuple]:
+    """R-QUOT-NEC's decision in the cell's frame: No at the first screened
+    sub-sum with a negative witness, else a pass.  Admitted, its guard is
+    down to a >= 1, so it returns None only below that."""
+    a = fr.a
+    if a < 1:
+        return None
+    b = fr.b + a * fr.l  # D's b, in frame 0
+    if line is not None and b + a * line < 3:
+        return _QUOTIENT_DECISIONS[0]
+    for l, twisted, rows in plans:
+        if _rejecter(rows, Frame(l, twisted, a, b - a * l)) is not None:
+            return _QUOTIENT_DECISIONS[0]
+    return _QUOTIENT_DECISIONS[1]
 
 
 def _curve_comparisons(Q: Bundle, D: Divisor) -> tuple[Comparison]:
@@ -192,22 +242,29 @@ def _curve_comparisons(Q: Bundle, D: Divisor) -> tuple[Comparison]:
     return (Comparison(f"b + a*deg({Q})", Fraction(D.b + D.a * Q.degree), ">=", Fraction(3)),)
 
 
+def _rejecter(rows: Sequence[tuple[str, Callable]], frame: Frame) -> Optional[tuple[str, tuple]]:
+    """The id and decision of the first of a screen plan's rows that says No
+    in frame, or None when none does."""
+    for rule_id, decide in rows:
+        k = decide(frame)
+        if k is not None and k[1] is _NO:
+            return rule_id, k
+    return None
+
+
 def _negative_witness(
     Q: Bundle, D: Divisor
 ) -> Optional[tuple[str, Iterable[Comparison]]]:
     """The name and (deferred) comparisons of the first negative-capable row
     that rejects the restriction to P(Q), or None when none does.  Only the
-    rows Q's canonical frame admits are evaluated."""
+    rows Q's canonical frame admits are decided."""
     if Q.rank == 1:  # _curve_comparisons, decided in integers
         return None if D.b + D.a * Q.degree >= 3 else (
             "curve threshold", DeferredComparisons(_curve_comparisons, Q, D))
     l, twisted, rows = _twisted("screen", Q)
     frame = Frame(l, twisted, D.a, D.b - D.a * l)
-    for rule in rows:
-        firing = rule.evaluate(frame)
-        if firing.outcome is Outcome.NO:
-            return firing.rule_id, firing.comparisons
-    return None
+    witness = _rejecter(rows, frame)
+    return None if witness is None else (witness[0], DeferredComparisons(witness[1][2], frame))
 
 
 def _quotient_firings(E: Bundle, D: Divisor) -> list[RuleFiring]:
@@ -232,33 +289,7 @@ def _quotient_firings(E: Bundle, D: Divisor) -> list[RuleFiring]:
     return firings
 
 
-# -- decision, trail and merge -----------------------------------------------
-
-_QUOTIENT = next(r for r in VERY_AMPLE_RULES if r.special == "quotient")
-# its decisions on a bundle that admits it, field by field what
-# Rule.evaluate returns in frame 0: a pass turned into No, a pass, and the
-# inapplicable one at a < 1
-_QUOTIENT_NO, _QUOTIENT_PASS, _QUOTIENT_UNMET = (
-    RuleFiring(_QUOTIENT.rule_id, _QUOTIENT.citation, strength, outcome, 0, (), note)
-    for strength, outcome, note in (
-        (Strength.NECESSARY, Outcome.NO, ""),
-        (Strength.NECESSARY, Outcome.PASS, ""),
-        (None, Outcome.INAPPLICABLE, f"guard not met ({_QUOTIENT.scope})"),
-    )
-)
-
-
-def _decide_quotient(E: Bundle, D: Divisor) -> RuleFiring:
-    """R-QUOT-NEC's decision on a bundle that admits it: No at the first
-    screened sub-sum with a negative witness, else a pass.  Admitted, its
-    guard is down to a >= 1, so no row is evaluated for it."""
-    if D.a < 1:
-        return _QUOTIENT_UNMET
-    for Q in _proper_sub_multisets(E):
-        if _negative_witness(Q, D) is not None:
-            return _QUOTIENT_NO
-    return _QUOTIENT_PASS
-
+# -- trail and merge ----------------------------------------------------------
 
 def _trail(property_name: str, E: Bundle, D: Divisor) -> tuple[RuleFiring, ...]:
     """Every row of the property's catalog evaluated in the canonical frame,
@@ -283,23 +314,28 @@ def _merge(
     E: Bundle,
     D: Divisor,
     s: Fraction,
-    decisions: Sequence[RuleFiring],
+    decisions: Sequence[tuple[str, Optional[tuple]]],
     lo: Optional[tuple[int, bool]],
     trail: Callable[[], tuple[RuleFiring, ...]],
 ) -> Verdict:
-    """Bind the verdict on decisions, the firings each row returned; s is
-    the slope invariant, read off the cell's frame.  trail builds the
-    firings the verdict shows when they are read."""
-    # the strongest No and Yes: an iff first, then the lowest rule id; the
-    # ties share both, which is all a verdict keeps of its binding decision
+    """Bind the verdict on decisions, each a row's id and the (strength,
+    outcome, comparisons) its decider returned, None where the guard
+    fails; s is the slope invariant, read off the cell's frame.  trail
+    builds the firings the verdict shows when they are read."""
+    # the strongest No and Yes, as (not iff, rule id, strength): an iff
+    # first, then the lowest rule id
     no = yes = None
-    for f in decisions:
-        if f.outcome is Outcome.NO:
-            if no is None or _stronger(f, no):
-                no = f
-        elif f.outcome is Outcome.YES:
-            if yes is None or _stronger(f, yes):
-                yes = f
+    for rule_id, k in decisions:
+        if k is None:
+            continue
+        if k[1] is _NO:
+            key = (k[0] is not _IFF, rule_id, k[0])
+            if no is None or key < no:
+                no = key
+        elif k[1] is _YES:
+            key = (k[0] is not _IFF, rule_id, k[0])
+            if yes is None or key < yes:
+                yes = key
     if yes is not None and no is not None:
         # the message quotes the first of each in the trail, with its text
         firings = trail()
@@ -310,53 +346,36 @@ def _merge(
             f"D = {D}: {yes.rule_id} concludes yes ({yes.condition}) "
             f"but {no.rule_id} concludes no ({no.condition})"
         )
-    for status, f in ((Status.NO, no), (Status.YES, yes)):
-        if f is not None:
-            return Verdict(
-                property_name, status, f.strength, f.rule_id, trail, slope_invariant=s,
-            )
-    hi = None
-    for f in decisions:
-        if f.strength is Strength.SUFFICIENT:
-            end = window_end(f.comparisons)
-            if end is not None and (hi is None or end < hi):
-                hi = end
+    if no is not None:
+        return Verdict(property_name, _STATUS_NO, no[2], no[1], trail, slope_invariant=s)
+    if yes is not None:
+        return Verdict(property_name, _STATUS_YES, yes[2], yes[1], trail, slope_invariant=s)
+    # the Unknown window's upper end: the least that the case texts of the
+    # insufficient rows leave open
+    ends = [k[2].end for _, k in decisions if k is not None and k[1] is _INSUFFICIENT]
+    hi = min(filter(None, ends), default=None)
     window = Window(
         lo=Fraction(lo[0]) if lo else None,
         lo_strict=lo[1] if lo else True,
         hi=hi[0] if hi else None,
         hi_inclusive=hi[1] if hi else False,
     )
-    reason = (
-        "open-range"
-        if any(f.outcome is Outcome.INSUFFICIENT for f in decisions)
-        else "no-applicable-rule"
-    )
+    reason = "open-range" if ends else "no-applicable-rule"
     return Verdict(
         property_name, Status.UNKNOWN, None, None, trail,
         unknown_window=window, unknown_reason=reason, slope_invariant=s,
     )
 
 
-def _stronger(f: RuleFiring, g: RuleFiring) -> bool:
-    """Whether f binds before g: an iff before any other strength, then the
-    lower rule id."""
-    return ((f.strength is not Strength.IFF, f.rule_id)
-            < (g.strength is not Strength.IFF, g.rule_id))
-
-
 def _classify(
     property_name: str, E: Bundle, D: Divisor, lo: Optional[tuple[int, bool]]
 ) -> Verdict:
-    """The verdict on the rows the plan of E admits, each evaluated once in
+    """The verdict on the rows the plan of E admits, each decided once in
     the cell's frame; the trail is built from the catalog when read."""
-    l, twisted, rows = _twisted(property_name, E)
+    l, twisted, plan = _twisted(property_name, E)
     frame = Frame(l, twisted, D.a, D.b - D.a * l)
-    decisions = [
-        rule.evaluate(frame) if rule.special is None else _decide_quotient(E, D)
-        for rule in rows
-    ]
-    return _merge(property_name, E, D, frame.s, decisions, lo,
+    return _merge(property_name, E, D, frame.s,
+                  [(rule_id, decide(frame)) for rule_id, decide in plan], lo,
                   partial(_trail, property_name, E, D))
 
 

@@ -31,15 +31,15 @@ cell part those that read a or b; a case's condition reads the bundle
 only.  A catalog is a plain tuple of rows.  The bundle parts of all
 the rows compile into one function of the bundle (`admits`), which says by
 rule id which rows a bundle admits: every other row is inapplicable there.
-The engine asks it once per bundle and evaluates only the admitted rows in
-a cell; `Rule.evaluate` checks the whole guard, so it decides any row in
+The engine asks it once per bundle and decides only the admitted rows in
+a cell; a row's decider checks the whole guard, so it decides the row in
 any frame by itself.  Everything else is derived from the cases: the
 row's strength (its first case's), the label and condition text `veryample
 rules` prints, the rows that screen the quotient scrolls for R-QUOT-NEC
 (every row whose strength is not sufficient), and the upper end of an
 Unknown window, which the engine reads off the case text of each
 applicable sufficient row whose only comparison is on s (`S_LABEL`,
-`window_end`): `s > t` leaves (.., t] open and `s >= t` leaves (.., t)
+`_Text.end`): `s > t` leaves (.., t] open and `s >= t` leaves (.., t)
 open.  Two rows compare more than their text (`_BY_HAND`): R-A1-DEC
 compares every summand, and R-QUOT-NEC is decided by the engine's quotient
 screen (`special="quotient"`).
@@ -47,22 +47,22 @@ screen (`special="quotient"`).
 Comparisons are affine data: a left-hand side is an `_LHS` (beta, k, m),
 beta*b + k*a + m with k and m integer pairs of the frame (`_QUANTITY`), and
 a right-hand side a number or an `_RHS` pair.  Each is decided in integers,
-cross-multiplied over positive denominators in the row's compiled
-function, and built as a Comparison only when the trail, a window or a
-witness reads it.
+cross-multiplied over positive denominators in the row's decider, and
+built as a Comparison only when the trail or a witness's text reads it.
 
 Only rows that can bind are kept.  A sufficient row implied by another
 under the same guard (s >= 3 by R-BUTLER's s > 2), or a necessary row whose
 every comparison R-QUOT-NEC makes on a single atom (the split rank-3
 thresholds), never changes a verdict, a window or a binding rule.
 
-One method decides a row: `Rule.evaluate` returns its RuleFiring in a
-frame (guard, deciding case, comparisons), which is both the decision the
-engine merges on and the line the trail shows.  A Rule and its Cases are
-data only.  The whole row, its guard, case conditions, integer comparisons
-and outcome table, compiles into one function of the frame that returns
-the firing (`_row`), the first time the row is evaluated: the import
-compiles no row, and a process compiles only the rows it decides.
+One function decides a row: its decider (`decider`), the whole row, its
+guard, case conditions, integer comparisons and outcome table, compiled
+into one function of the frame the first time the row is decided, so the
+import compiles no row.  It returns the deciding case's constant
+(strength, outcome, comparisons) (`entries`), or None where the guard
+fails, and builds nothing: that constant is what the engine merges on.  A
+Rule and its Cases are data only.  `Rule.evaluate` is the decider plus one
+shared RuleFiring constructor, the line the trail shows.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ._frozen import Frozen, set_slot
 # unused here; kept because perfbench/tracing.py wraps rules.sym_power_split
@@ -89,6 +89,8 @@ __all__ = [
     "ALL_RULES",
     "RULES_BY_ID",
     "admits",
+    "decider",
+    "entries",
     "rank3_exception",
 ]
 
@@ -186,15 +188,22 @@ class Rule(NamedTuple):
 
     def evaluate(self, frame: Frame) -> RuleFiring:
         """The row's firing in frame: the guard, the first case that holds and
-        its comparisons, built when read; strength None if the guard fails."""
-        return _row(self.rule_id)(frame)
+        its comparisons, built when read; strength None if the guard fails.
+        Only the trail, the screen's witness and the tests build firings; a
+        cell reads the decision alone (`decider`)."""
+        k = decider(self.rule_id)(frame)
+        if k is None:
+            return RuleFiring(self.rule_id, self.citation, None, Outcome.INAPPLICABLE,
+                              frame.l, (), f"guard not met ({self.scope})")
+        return RuleFiring(self.rule_id, self.citation, k[0], k[1], frame.l,
+                          DeferredComparisons(k[2], frame))
 
 
 # -- comparisons as data ------------------------------------------------------
 
 # The label of every comparison on s; the engine reads the upper end of an
 # Unknown window off the sufficient decisions that compare nothing else
-# (`window_end`).
+# (`_Text.end`).
 S_LABEL = "b + a*mu^-(E)"
 
 # Each frame quantity, by name: its numerator and denominator (> 0 where defined) in `fr`.
@@ -287,7 +296,9 @@ def _window_end(text: str) -> Optional[tuple[Fraction, bool]]:
 class _Text:
     """A case's comparisons as written (`text`); called on a frame, they are
     built.  `end` is the upper end of the Unknown window the case leaves
-    open where it is sufficient and fails (`window_end`)."""
+    open where it is sufficient and fails, read without building a
+    Comparison: (t, True) for s > t alone, which leaves (.., t] open,
+    (t, False) for s >= t alone, which leaves (.., t), else None."""
 
     __slots__ = ("text", "end")
 
@@ -297,16 +308,6 @@ class _Text:
 
     def __call__(self, fr: Frame) -> tuple[Comparison, ...]:
         return _builder(self.text)(fr)
-
-
-def window_end(comparisons: Iterable[Comparison]) -> Optional[tuple[Fraction, bool]]:
-    """The upper end of the Unknown window a sufficient firing leaves open,
-    read off its case's text without building a Comparison: (t, True) for
-    s > t alone, which leaves (.., t] open, (t, False) for s >= t alone,
-    which leaves (.., t), and None for any other comparisons.  It reads the
-    comparisons `Rule.evaluate` defers; built ones give None."""
-    build = getattr(comparisons, "func", None)
-    return build.end if isinstance(build, _Text) else None
 
 
 # -- conditions as data -------------------------------------------------------
@@ -374,39 +375,36 @@ def _holds(text: str) -> str:
     return " and ".join(map(_expression, text.split(" and ")))
 
 
+def entries(case: Case) -> tuple[tuple, tuple]:
+    """A case's decisions, (strength, outcome, comparisons), indexed by
+    whether its comparisons hold: the constants a row's decider returns."""
+    return tuple((case.strength, outcome, case.comparisons)
+                 for outcome in _OUTCOMES[case.strength])
+
+
 @lru_cache(maxsize=None)
-def _row(rule_id: str) -> Callable[[Frame], RuleFiring]:
+def decider(rule_id: str) -> Callable[[Frame], Optional[tuple]]:
     """The catalog row `rule_id` compiled into one function of the frame
-    that returns its firing, compiled on first use: a process compiles only
-    the rows it evaluates, and the import compiles none."""
+    that returns its case's constant (strength, outcome, comparisons), or
+    None where the guard fails; compiled on first use, so a process
+    compiles only the rows it decides, and the import compiles none."""
     rule = RULES_BY_ID[rule_id]
-    names = {
-        "new": tuple.__new__, "RF": RuleFiring, "D": DeferredComparisons,
-        "RID": rule.rule_id, "CIT": rule.citation, "INAP": Outcome.INAPPLICABLE,
-        "NOTE": f"guard not met ({rule.scope})",
-        "rank3_exception": rank3_exception, "_a1_dec_sides": _a1_dec_sides,
-    }
+    names = {"rank3_exception": rank3_exception, "_a1_dec_sides": _a1_dec_sides}
     for i, case in enumerate(rule.cases):
-        # the case's (strength, outcome, comparisons), by whether they hold
-        names[f"K{i}"] = tuple((case.strength, outcome, case.comparisons)
-                               for outcome in _OUTCOMES[case.strength])
+        names[f"K{i}"] = entries(case)
     return eval(_row_source(rule), names)
 
 
 def _row_source(rule: Rule) -> str:
-    """The source of `_row`: where the guard holds, the first case whose
-    condition holds picks its K by whether its comparisons hold, and one
-    shared constructor builds the firing from it."""
+    """The source of `decider`: where the guard holds, the first case whose
+    condition holds picks its K by whether its comparisons hold."""
     last = len(rule.cases) - 1
     pick = " else ".join(
         f"K{i}[{_holds(case.text)}]" + (f" if {_expression(case.label)}" if i < last else "")
         for i, case in enumerate(rule.cases)
     )
     guard = " and ".join(map(_expression, _conditions(rule.scope)))
-    return (
-        f"lambda fr: new(RF, (RID, CIT, (k := {pick})[0], k[1], fr.l, D(k[2], fr), ''))"
-        f" if {guard} else new(RF, (RID, CIT, None, INAP, fr.l, (), NOTE))"
-    )
+    return f"lambda fr: ({pick}) if {guard} else None"
 
 
 def _rule(

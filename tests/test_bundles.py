@@ -160,6 +160,23 @@ class TestTwistAndDual:
         assert twisted.mu_minus == B.mu_minus + l
         assert twisted.mu_plus == B.mu_plus + l
 
+    def test_twist_is_the_bundle_of_the_twisted_atoms(self):
+        # a twist keeps the atoms' order, so it builds them without sorting
+        # or validating again; each derived value is the one the sorted,
+        # validated constructor gives, and twist(0) is the bundle itself
+        checked = 0
+        for E in small_bundles(4, 2):
+            assert E.twist(0) is E
+            for l in range(-3, 4):
+                twisted, built = E.twist(l), Bundle(A.twist(l) for A in E.atoms)
+                assert twisted.atoms == built.atoms
+                assert all(type(A) is IndecBundle for A in twisted.atoms)
+                assert twisted == built and hash(twisted) == hash(built)
+                assert (twisted.rank, twisted.degree, twisted.slope_ends) == (
+                    built.rank, built.degree, built.slope_ends)
+                checked += 1
+        assert checked == 275 * 7
+
     @given(st.integers(1, 8), st.integers(-20, 20))
     def test_normalize_lands_in_fundamental_range(self, r, d):
         reduced, l = IndecBundle(r, d).normalize()

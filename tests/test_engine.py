@@ -44,7 +44,7 @@ from veryample.rules import (
     Frame,
     Rule,
 )
-from veryample.verdicts import RuleFiring, Window
+from veryample.verdicts import DeferredComparisons, RuleFiring, Window
 
 from conftest import bundles, small_bundles
 
@@ -290,7 +290,8 @@ class TestGuards:
         # the guard split: a bundle part reads no cell field, and a row its
         # bundle excludes is inapplicable in every cell on that bundle, in
         # the frame the trail evaluates it in (R-QUOT-NEC's untwisted); the
-        # plan of each of the five catalogs admits exactly the other rows
+        # plan of each of the five catalogs holds exactly the other rows,
+        # each as its id and its decider, R-QUOT-NEC's holding its screen
         assert list(engine._CATALOGS.values()) == [
             VERY_AMPLE_RULES, AMPLE_RULES, GLOBALLY_GENERATED_RULES,
             NORMALLY_GENERATED_RULES, engine._SCREEN_RULES]
@@ -305,9 +306,15 @@ class TestGuards:
                     frame = canonical_frames(E, Divisor(a, b))
                     admits = rules.admits(frame.bundle)
                     for name, catalog in engine._CATALOGS.items():
-                        l, twisted, admitted = engine._twisted(name, E)
+                        l, twisted, plan = engine._twisted(name, E)
                         assert (l, twisted) == (frame.l, frame.bundle)
-                        assert admitted == tuple(r for r in catalog if admits[r.rule_id])
+                        assert [rule_id for rule_id, _ in plan] == [
+                            r.rule_id for r in catalog if admits[r.rule_id]]
+                        for rule_id, decide in plan:
+                            if rules.RULES_BY_ID[rule_id].special is None:
+                                assert decide is rules.decider(rule_id)
+                            else:
+                                assert decide.func is engine._decide_quotient
                         for rule in catalog:
                             if admits[rule.rule_id]:
                                 continue
@@ -484,11 +491,26 @@ def _comparison_window(firings, lo):
     )
 
 
+class _Built(tuple):
+    """A trail firing's built comparisons where a decision holds its case
+    text: they read no window end, so the trail's window is read off the
+    Comparisons themselves (`_comparison_window`)."""
+
+    end = None
+
+
+def _decisions(firings):
+    """The trail's firings as the merge takes decisions: each row's id and
+    its (strength, outcome, comparisons), None where the guard failed."""
+    return [(f.rule_id, None if f.strength is None else
+             (f.strength, f.outcome, _Built(f.comparisons))) for f in firings]
+
+
 class TestDecidedMerge:
     """Verdicts merged on decisions against _merge over the full trail,
-    which binds on the firings themselves; the window, which the merge reads
-    off each decision's case text, against the one the trail's built
-    Comparisons give."""
+    which binds on the firings' own strength and outcome; the window, which
+    the merge reads off each decision's case text, against the one the
+    trail's built Comparisons give."""
 
     @pytest.mark.parametrize("name, lo, min_a", PROPERTIES, ids=[p[0] for p in PROPERTIES])
     def test_decisions_bind_as_the_trail_does(self, name, lo, min_a):
@@ -499,8 +521,8 @@ class TestDecidedMerge:
                     D = Divisor(a, b)
                     decided = _classify(name, E, D, lo)
                     firings = _trail(name, E, D)
-                    recorded = _merge(name, E, D, pushforward_mu_minus(E, a, b), firings, lo,
-                                      trail=lambda: firings)
+                    recorded = _merge(name, E, D, pushforward_mu_minus(E, a, b),
+                                      _decisions(firings), lo, trail=lambda: firings)
                     window = recorded.is_unknown and _comparison_window(firings, lo)
                     assert _summary(decided) == _summary(recorded, window), (str(E), a, b)
                     cells += 1
@@ -552,47 +574,70 @@ class TestLazyTrail:
         assert len(recorded) == 1 and len(screened) == 1
         assert trail == _trail("very_ample", E, D)
 
+    @staticmethod
+    def _count_decisions(monkeypatch):
+        """Every call of a row's decider, as (rule id, frame): the plans are
+        built afresh from counting deciders, in a plan cache that goes with
+        the patch.  R-QUOT-NEC's decider is the engine's screen, whose rows
+        are counted on the sub-sums."""
+        calls = []
+        original = engine.decider
+
+        def counting(rule_id):
+            decide = original(rule_id)
+            return lambda frame: calls.append((rule_id, frame)) or decide(frame)
+
+        monkeypatch.setattr(engine, "decider", counting)
+        monkeypatch.setattr(engine, "_twisted", functools.lru_cache(maxsize=None)(
+            engine._twisted.__wrapped__))
+        return calls
+
     def test_each_row_is_decided_once_per_frame(self, monkeypatch):
         # Unknown, so the window is read too.  3:5 twists to 3:2 in l0 = -1.
-        # The cell evaluates the 5 rows the indecomposable 3:2 admits, once
-        # each, in l0; the first read of the trail evaluates each of the 18
-        # rows once, in catalog order, R-QUOT-NEC in frame 0 and the others
-        # in l0; a second read evaluates nothing
-        decided = self._count(monkeypatch, Rule, "evaluate")
+        # The cell decides the 5 rows the indecomposable 3:2 admits, once
+        # each, in l0, and evaluates none; the first read of the trail
+        # evaluates each of the 18 rows once, in catalog order, R-QUOT-NEC in
+        # frame 0 and the others in l0; a second read evaluates nothing
+        decided = self._count_decisions(monkeypatch)
+        evaluated = self._count(monkeypatch, Rule, "evaluate")
         v = classify_very_ample(parse_bundle("3:5"), Divisor(2, -2))
         assert v.is_unknown and v.unknown_window.render() == "(0, 4/3]"
-        cell = [(rule.rule_id, frame.l) for rule, frame in decided]
+        cell = [(rule_id, frame.l) for rule_id, frame in decided]
         assert cell == [(rule_id, -1) for rule_id in (
             "R-FIBER", "R-MIYAOKA", "R-BUTLER", "R-A1-INDEC", "R-RK3-INDEC")]
+        assert evaluated == []
         v.firings
-        trail = [(rule.rule_id, frame.l) for rule, frame in decided[len(cell):]]
+        trail = [(rule.rule_id, frame.l) for rule, frame in evaluated]
         assert trail == [(rule.rule_id, 0 if rule.special else -1) for rule in VERY_AMPLE_RULES]
-        before = len(decided)
+        assert len(decided) == len(cell)
+        before = len(evaluated)
         v.firings
-        assert len(decided) == before
+        assert len(evaluated) == before
 
     def test_an_applicable_quotient_row_is_never_evaluated(self, monkeypatch):
-        # on the decomposable 1:0,2:-1 at a = 2 the cell evaluates, in E's
-        # frame, the 5 ordinary rows the bundle admits and decides
-        # R-QUOT-NEC without Rule.evaluate (the screen evaluates rows only
-        # on the sub-sum 2:-1), also at a = 0, where it is inapplicable; the
-        # trail evaluates every row once on E, R-QUOT-NEC in frame 0, and
-        # writes it as one firing per screened sub-sum
-        decided = self._count(monkeypatch, Rule, "evaluate")
+        # on the decomposable 1:0,2:-1 at a = 2 the cell decides, in E's
+        # frame, the 5 ordinary rows the bundle admits and R-QUOT-NEC by its
+        # screen (which decides rows only on the sub-sum 2:-1), also at
+        # a = 0, where it is inapplicable, and evaluates no row; the trail
+        # evaluates every row once on E, R-QUOT-NEC in frame 0, and writes
+        # it as one firing per screened sub-sum
+        decided = self._count_decisions(monkeypatch)
+        evaluated = self._count(monkeypatch, Rule, "evaluate")
         E = parse_bundle("1:0,2:-1")
         admitted = ["R-FIBER", "R-MIYAOKA", "R-BUTLER", "R-A1-DEC", "R-RK3-DEC"]
         for a, b, outcomes in ((2, 2, ["no", "no"]), (2, 3, ["pass", "pass"]),
                                (0, 3, ["inapplicable"])):
             decided.clear()
+            evaluated.clear()
             v = classify_very_ample(E, Divisor(a, b))
-            on_E = [rule.rule_id for rule, frame in decided if frame.bundle.rank == E.rank]
+            on_E = [rule_id for rule_id, frame in decided if frame.bundle.rank == E.rank]
             assert on_E == admitted  # at a = 0 too: admission reads the bundle only
-            cell = len(on_E)
+            assert evaluated == []
             quotient = [f for f in v.firings if f.rule_id == "R-QUOT-NEC"]
             assert [(f.outcome.value, f.frame) for f in quotient] == [
                 (outcome, 0) for outcome in outcomes]
-            on_E = [(rule.rule_id, frame.l, frame.bundle) for rule, frame in decided
-                    if frame.bundle.rank == E.rank][cell:]
+            on_E = [(rule.rule_id, frame.l, frame.bundle) for rule, frame in evaluated
+                    if frame.bundle.rank == E.rank]
             assert on_E == [(rule.rule_id, 0, E) if rule.special else (rule.rule_id, 1, E.twist(1))
                             for rule in VERY_AMPLE_RULES]
 
@@ -631,7 +676,8 @@ class TestLazyTrail:
     ]
 
     def test_a_decided_cell_builds_one_fraction_and_no_comparison(self, monkeypatch):
-        built = {"Fraction": 0, "Comparison": 0}
+        # nor a firing: the cell evaluates no row and defers no comparison
+        built = {"Fraction": 0, "Comparison": 0, "DeferredComparisons": 0}
 
         def count(owner, name, key):
             original = getattr(owner, name)
@@ -647,32 +693,42 @@ class TestLazyTrail:
         if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 arithmetic
             count(Fraction, "_from_coprime_ints", "Fraction")
         count(rules.Comparison, "__new__", "Comparison")
+        count(DeferredComparisons, "__new__", "DeferredComparisons")
+        evaluated = self._count(monkeypatch, Rule, "evaluate")
         assert {r.rule_id for r in VERY_AMPLE_RULES} == {c[0] for c in self.BINDING_CELLS}
         for rule_id, text, a, b in self.BINDING_CELLS:
             E = parse_bundle(text)
-            built.update(Fraction=0, Comparison=0)
+            built.update(Fraction=0, Comparison=0, DeferredComparisons=0)
+            evaluated.clear()
             v = classify_very_ample(E, Divisor(a, b))
             assert not v.is_unknown and v.binding_rule == rule_id, (text, a, b)
-            assert built == {"Fraction": 1, "Comparison": 0}, (rule_id, text, a, b)
+            assert built == {"Fraction": 1, "Comparison": 0, "DeferredComparisons": 0}, (
+                rule_id, text, a, b)
+            assert evaluated == [], (rule_id, text, a, b)
             assert v.slope_invariant == pushforward_mu_minus(E, a, b)
             built.update(Fraction=0, Comparison=0)
             v.firings
             assert built["Comparison"] > 0, (rule_id, text, a, b)
         # an Unknown cell reads its window's upper end off R-BUTLER's and
         # R-RK3-INDEC's case texts, s > 2 and s > 4/3, building no Comparison
-        built.update(Fraction=0, Comparison=0)
+        built.update(Fraction=0, Comparison=0, DeferredComparisons=0)
+        evaluated.clear()
         v = classify_very_ample(parse_bundle("3:2"), Divisor(2, 0))
         assert v.is_unknown and v.unknown_window.render() == "(0, 4/3]"
-        assert built["Comparison"] == 0
+        assert (built["Comparison"], built["DeferredComparisons"], evaluated) == (0, 0, [])
 
     def test_quotient_screen_stops_at_the_first_witness(self, monkeypatch):
         # 12 distinct lines: the first screened sub-sum, the lowest line
-        # 1:0, has b + a*deg = 2 < 3
-        witnesses = self._count(monkeypatch, engine, "_negative_witness")
-        E = parse_bundle(",".join(f"1:{d}" for d in range(12)))
-        v = classify_very_ample(E, Divisor(2, 2))
-        assert v.is_no and v.binding_rule == "R-QUOT-NEC"
-        assert len(witnesses) == 1
+        # 1:0, has b + a*deg = 2 < 3, decided off the plan's line degree;
+        # with a rank-2 atom too, the screen decides no row on it at b = 2,
+        # and screens it once at b = 3, where the line passes
+        screened = self._count(monkeypatch, engine, "_rejecter")
+        lines = ",".join(f"1:{d}" for d in range(12))
+        for text, b, rows in ((lines, 2, 0), (lines + ",2:1", 2, 0), (lines + ",2:1", 3, 1)):
+            screened.clear()
+            v = classify_very_ample(parse_bundle(text), Divisor(2, b))
+            assert (v.is_no and v.binding_rule == "R-QUOT-NEC") is (b == 2), (text, b)
+            assert len(screened) == rows, (text, b)
 
 
 def _every_proper_sub_sum(E):
@@ -708,11 +764,17 @@ _PRUNING_ROWS = {"R-FIBER", "R-MIYAOKA", "R-A1-DEC", "R-RK2-DEC", "R-RK3-DEC"}
 
 
 def _quotient_decision(E, D):
-    """R-QUOT-NEC's decision as a cell makes it where E's plan admits the
-    row, and otherwise the inapplicable firing its trail records."""
-    if _QUOT not in engine._twisted("very_ample", E)[2]:
-        return _QUOT.evaluate(Frame(0, E, D.a, D.b))
-    return engine._decide_quotient(E, D)
+    """R-QUOT-NEC's decision as a cell makes it, by the plan's decider in
+    the cell's frame, where E's plan admits the row, and otherwise the
+    row's decision in frame 0, where its trail evaluates it."""
+    decide = dict(engine._twisted("very_ample", E)[2]).get(_QUOT.rule_id)
+    if decide is None:
+        return rules.decider(_QUOT.rule_id)(Frame(0, E, D.a, D.b))
+    return decide(canonical_frames(E, D))
+
+
+def _outcome(decision):
+    return Outcome.INAPPLICABLE if decision is None else decision[1]
 
 
 class TestQuotientScreen:
@@ -720,24 +782,29 @@ class TestQuotientScreen:
     engine.py that no other sub-sum can carry a negative witness."""
 
     def test_decision_is_the_evaluation_in_frame_0(self):
-        # the cell decides R-QUOT-NEC without a frame of its own: field by
-        # field it is the row's firing in frame 0, a pass turned into No
-        # exactly where a screened sub-sum has a negative witness
+        # the cell decides R-QUOT-NEC in its own frame, by the screen on
+        # the plan: field by field it is the row's decision in frame 0, a
+        # pass turned into No exactly where a screened sub-sum has a
+        # negative witness, and its strength and outcome are the firing's
         cells = noes = 0
+        decide = rules.decider(_QUOT.rule_id)
         for E in small_bundles(4, 2):
             for a in range(0, 6):
                 for b in range(-9, 9):
                     D = Divisor(a, b)
+                    expected = decide(Frame(0, E, a, b))
                     evaluated = _QUOT.evaluate(Frame(0, E, a, b))
                     witness = any(engine._negative_witness(Q, D) is not None
                                   for Q in engine._proper_sub_multisets(E))
                     if evaluated.outcome is Outcome.PASS and witness:
+                        expected = (expected[0], Outcome.NO, expected[2])
                         evaluated = evaluated._replace(outcome=Outcome.NO)
                         noes += 1
                     decided = _quotient_decision(E, D)
-                    for field in RuleFiring._fields:
-                        assert getattr(decided, field) == getattr(evaluated, field), (
-                            field, str(E), a, b)
+                    assert decided == expected, (str(E), a, b)
+                    assert (evaluated.strength, _outcome(decided)) == (
+                        None if decided is None else decided[0], evaluated.outcome), (
+                        str(E), a, b)
                     cells += 1
         assert (cells, noes) == (275 * 108, 18_477)
 
@@ -762,7 +829,7 @@ class TestQuotientScreen:
             for a in range(0, 6):
                 for b in range(-9, 9):
                     D = Divisor(a, b)
-                    assert _quotient_decision(E, D).outcome is oracle(E, subs, D), (
+                    assert _outcome(_quotient_decision(E, D)) is oracle(E, subs, D), (
                         str(E), a, b)
                     cells += 1
         assert cells == (281 + 666 + 231 * 7) * 108
@@ -844,7 +911,7 @@ class TestMergeContract:
         )
         with pytest.raises(ContradictionError):
             _merge("very_ample", parse_bundle("2:1"), Divisor(2, 1), Fraction(2),
-                   firings, lo=(Fraction(0), True), trail=lambda: firings)
+                   _decisions(firings), lo=(Fraction(0), True), trail=lambda: firings)
 
     def test_contradiction_on_decisions_quotes_the_trail(self):
         firings = (
@@ -852,15 +919,18 @@ class TestMergeContract:
             self._firing("R-SYNTH-B", Strength.NECESSARY, Outcome.NO),
         )
         E, D = parse_bundle("2:1"), Divisor(2, 1)
-        # as the rows return them: the trail's note is not on the decisions
-        decisions = [f._replace(note="") for f in firings]
+        # as the deciders return them: no note, so the text is the trail's,
+        # whichever order the decisions come in
+        decisions = _decisions(firings)
         with pytest.raises(ContradictionError) as decided:
             _merge("very_ample", E, D, Fraction(2), decisions, lo=(Fraction(0), True),
                    trail=lambda: firings)
-        with pytest.raises(ContradictionError) as recorded:
-            _merge("very_ample", E, D, Fraction(2), firings, lo=(Fraction(0), True),
+        with pytest.raises(ContradictionError) as reversed_:
+            _merge("very_ample", E, D, Fraction(2), decisions[::-1], lo=(Fraction(0), True),
                    trail=lambda: firings)
-        assert str(decided.value) == str(recorded.value)
+        assert str(decided.value) == str(reversed_.value) == (
+            "rule table contradiction for very_ample on P(2:1) with D = 2T+1f: "
+            "R-SYNTH-A concludes yes (synthetic) but R-SYNTH-B concludes no (synthetic)")
         assert "R-SYNTH-A concludes yes (synthetic)" in str(decided.value)
 
     def test_iff_outranks_sufficient_for_binding(self):
@@ -869,7 +939,7 @@ class TestMergeContract:
             self._firing("R-SYNTH-A", Strength.SUFFICIENT, Outcome.YES),
         )
         v = _merge("very_ample", parse_bundle("2:1"), Divisor(2, 1), Fraction(2),
-                   firings, lo=(Fraction(0), True), trail=lambda: firings)
+                   _decisions(firings), lo=(Fraction(0), True), trail=lambda: firings)
         assert v.binding_rule == "R-SYNTH-Z" and v.slope_invariant == Fraction(2)
         assert v.strength is Strength.IFF
 
