@@ -47,7 +47,7 @@ from .engine import (
     classify_very_ample,
 )
 from .errors import DomainError, H0UndefinedError
-from .rules import ALL_RULES, RULES_BY_ID
+from .rules import ALL_RULES, CATALOGS, RULES_BY_ID
 from .verdicts import Verdict, frac_json, frac_text
 
 __all__ = ["main"]
@@ -380,9 +380,6 @@ def _print_atlas(E: Bundle, a_range: range, b_range: range, rows: list) -> None:
 
 # -- rules -----------------------------------------------------------------------
 
-_PROPERTY_ORDER = ("very_ample", "ample", "globally_generated", "normally_generated")
-
-
 def cmd_rules(ns: argparse.Namespace) -> int:
     if ns.format == "json":
         import json
@@ -400,8 +397,7 @@ def cmd_rules(ns: argparse.Namespace) -> int:
         ]
         print(json.dumps(payload, indent=2))
         return 0
-    for prop in _PROPERTY_ORDER:
-        rules = [rule for rule in ALL_RULES if rule.property_name == prop]
+    for prop, rules in CATALOGS.items():
         print(f"{prop}: {len(rules)} rules")
         for rule in rules:
             print(f"  {rule.rule_id}  [{rule.strength_label}]")

@@ -7,23 +7,23 @@ simultaneous Yes and No is not a tie to break: it means the catalog is
 transcribed wrong, and it raises ContradictionError instead of returning
 anything.
 
-One plan per bundle.  The plan of a catalog on E (`_twisted`, the one
-cache keyed by bundle besides the screen's sub-sums) holds l0, E(l0) and
-the rows of the catalog that E(l0) admits (`rules.admits`, from each
-guard's bundle part), each as its id and its decider
-(`rules.decider`); a row it excludes is inapplicable in every cell on
-that bundle.  A cell reads the plan once, builds one frame and calls
-only the admitted rows' deciders, each once.  A decider returns its
-case's constant (strength, outcome, comparisons), or None where the guard
+One plan per property and bundle.  The plan of a property's catalog on E
+(`_twisted`, the one cache keyed by bundle besides the screen's sub-sums)
+holds l0, E(l0) and the rows of the catalog that E(l0) admits
+(`rules.admits[property]`, from each guard's bundle part), each as its id
+and its decider (`rules.decider`); a row it excludes is inapplicable in
+every cell on that bundle.  A cell reads the plan once, builds one frame
+and calls only the admitted rows' deciders, each once.  A decider returns
+its case's constant (strength, outcome, case), or None where the guard
 fails, and builds no record.  R-QUOT-NEC is admitted on the canonical
 bundle, as its bundle part, "decomposable", is the same in every twist;
 admitted, its guard is down to a >= 1, and its decider is the screen,
 which the plan holds: the lowest line's degree and each non-line atom's
-own plan.  It returns the row's No as soon as one screened sub-sum Q has
-a negative witness, so it stops there, and its pass otherwise.  The
-verdict binds on these decisions, the strongest No or Yes found in one
-pass, reads its slope invariant off the frame and its Unknown window's
-upper end off the case texts of the insufficient ones (`_Text.end`); an
+own very-ample plan.  It returns the row's No as soon as one screened
+sub-sum Q has a negative witness, so it stops there, and its pass
+otherwise.  The verdict binds on these decisions, the strongest No or Yes
+found in one pass, reads its slope invariant off the frame and its Unknown
+window's upper end off the cases of the insufficient ones (`Case.end`); an
 excluded row says neither yes nor no and compares nothing, so it would
 change neither.
 
@@ -37,25 +37,28 @@ rule id.  A decider decides its row in any frame by itself, so the trail
 shows what the cell decided.
 
 The quotient screen.  R-QUOT-NEC restricts D to the quotient scrolls P(Q),
-Q a proper sub-sum of E's atoms, and says No when a row that can say No
-(`_SCREEN_RULES`; on a line Q the curve threshold b + a*deg(Q) >= 3)
-rejects one of them.  It runs only at a >= 1.  The decision and the trail
-both read one set of sub-sums, `_proper_sub_multisets`: the lowest-degree
-line and every distinct non-line atom, at most n + 1 for n distinct atoms
-instead of all prod(m_i + 1) - 2.  No sub-sum left out can carry a witness
-that a kept one does not.  On a decomposable Q the only screen rows that
-can say No are R-FIBER (never at a >= 1), R-MIYAOKA, R-A1-DEC, R-RK2-DEC,
-and R-RK3-DEC outside `rank3_exception`; every other row is sufficient on
-a decomposable bundle or does not apply to one.  A No from any of them shows on
-one atom A of Q: the minimal-slope atom for R-MIYAOKA, R-RK2-DEC and
-R-RK3-DEC (b + a*mu(A) then fails R-MIYAOKA, R-D0MODR or, on a line, the
-curve threshold), and the atom it names for R-A1-DEC (which fails
-R-A1-INDEC or the curve threshold).  A line's No also shows on the lowest
-line, because the curve threshold drops with the degree.  An odd rank-2 G
-of minimal slope in L + G is exactly `rank3_exception`, where R-RK3-DEC is
-only sufficient.  The tests check these assumptions against the catalog, and
-the decision against the full enumeration, so a catalog edit that breaks
-the pruning fails them.
+Q a proper sub-sum of E's atoms: if D is very ample on P(E), its
+restriction is very ample on each P(Q).  So it says No when the catalog
+says No on one of them: on a line Q the curve threshold b + a*deg(Q) >= 3,
+on any other Q the first row of Q's own very-ample plan that says No (a
+sufficient row never does).  It runs only at a >= 1.  The decision and
+the trail both read one set of sub-sums, `_proper_sub_multisets`: the
+lowest-degree line and every distinct non-line atom, at most n + 1 for n
+distinct atoms instead of all prod(m_i + 1) - 2.  No sub-sum left out can
+carry a witness that a kept one does not.  On a decomposable Q the only
+rows that can say No, R-QUOT-NEC aside (its No on Q is a witness on a
+sub-sum of Q), are R-FIBER (never at a >= 1), R-MIYAOKA, R-A1-DEC,
+R-RK2-DEC, and R-RK3-DEC outside `rank3_exception`; every other row is
+sufficient on a decomposable bundle or does not apply to one.  A No from
+any of them shows on one atom A of Q: the minimal-slope atom for
+R-MIYAOKA, R-RK2-DEC and R-RK3-DEC (b + a*mu(A) then fails R-MIYAOKA,
+R-D0MODR or, on a line, the curve threshold), and the atom it names for
+R-A1-DEC (which fails R-A1-INDEC or the curve threshold).  A line's No
+also shows on the lowest line, because the curve threshold drops with the
+degree.  An odd rank-2 G of minimal slope in L + G is exactly
+`rank3_exception`, where R-RK3-DEC is only sufficient.  The tests check
+these assumptions against the catalog, and the decision against the full
+enumeration, so a catalog edit that breaks the pruning fails them.
 
 Frames: twisting E by a degree-l line bundle re-coordinatizes P(E) and
 sends aT + bf to aT + (b - a*l)f.  The canonical frame is the twist l0 with
@@ -74,26 +77,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ._frozen import validated_make
 from .atiyah import pushforward_mu_minus
 from .bundles import Bundle
 from .errors import ContradictionError, DomainError
-from .rules import (
-    AMPLE_RULES,
-    GLOBALLY_GENERATED_RULES,
-    NORMALLY_GENERATED_RULES,
-    VERY_AMPLE_RULES,
-    Frame,
-    Rule,
-    admits,
-    decider,
-    entries,
-)
+from .rules import CATALOGS, VERY_AMPLE_RULES, Frame, admits, decider, entries
 from .verdicts import (
     Comparison,
-    DeferredComparisons,
     Outcome,
     RuleFiring,
     Status,
@@ -154,23 +146,6 @@ def canonical_frames(E: Bundle, D: Divisor) -> Frame:
 
 # -- the plan, and the quotient screen (R-QUOT-NEC) ---------------------------
 
-# Rows that can output No; sufficient-only rows are pointless when screening
-# restrictions for a negative witness.
-_SCREEN_RULES = tuple(
-    r for r in VERY_AMPLE_RULES
-    if r.strength is not Strength.SUFFICIENT and r.special != "quotient"
-)
-
-# Each catalog by the name its plan is kept under: a property's, and the screen's.
-_CATALOGS: dict[str, tuple[Rule, ...]] = {
-    "very_ample": VERY_AMPLE_RULES,
-    "ample": AMPLE_RULES,
-    "globally_generated": GLOBALLY_GENERATED_RULES,
-    "normally_generated": NORMALLY_GENERATED_RULES,
-    "screen": _SCREEN_RULES,
-}
-
-
 # the members a cell compares, read once: on Python 3.11 an enum member read
 # off its class (Outcome.NO) takes ten times as long as a global
 _NO, _YES, _INSUFFICIENT = Outcome.NO, Outcome.YES, Outcome.INSUFFICIENT
@@ -179,16 +154,15 @@ _IFF, _STATUS_NO, _STATUS_YES = Strength.IFF, Status.NO, Status.YES
 
 @lru_cache(maxsize=8192)
 def _twisted(catalog: str, E: Bundle) -> tuple[int, Bundle, tuple[tuple[str, Callable], ...]]:
-    """The plan of `catalog` on E: the canonical twist l0, E(l0), and the
-    rows of the catalog that E(l0) admits, in catalog order, each as its id
-    and its decider; R-QUOT-NEC's decider holds its screen.  Sweeps decide
-    every cell of a bundle on the same plan."""
+    """The plan of a property's catalog on E: the canonical twist l0,
+    E(l0), and the rows of the catalog that E(l0) admits, in catalog order,
+    each as its id and its decider; R-QUOT-NEC's decider holds its screen.
+    Sweeps decide every cell of a bundle on the same plan."""
     l = -(E.degree // E.rank)
     twisted = E.twist(l)
-    admitted = admits(twisted)
     return l, twisted, tuple(
         (r.rule_id, decider(r.rule_id) if r.special is None else _quotient_decider(E))
-        for r in _CATALOGS[catalog] if admitted[r.rule_id]
+        for r in admits[catalog](twisted)
     )
 
 
@@ -213,11 +187,11 @@ _QUOTIENT_DECISIONS = entries(_QUOTIENT.cases[0])
 def _quotient_decider(E: Bundle) -> Callable[[Frame], Optional[tuple]]:
     """R-QUOT-NEC's decider on a bundle that admits it, holding its screen:
     the lowest line's degree (None if the screen visits no line) and the
-    screen plan of each non-line sub-sum."""
+    very-ample plan of each non-line sub-sum."""
     subs = _proper_sub_multisets(E)
     line = subs[0].degree if subs and subs[0].rank == 1 else None
     return partial(_decide_quotient, line,
-                   tuple(_twisted("screen", Q) for Q in subs if Q.rank > 1))
+                   tuple(_twisted("very_ample", Q) for Q in subs if Q.rank > 1))
 
 
 def _decide_quotient(line: Optional[int], plans: tuple, fr: Frame) -> Optional[tuple]:
@@ -243,8 +217,8 @@ def _curve_comparisons(Q: Bundle, D: Divisor) -> tuple[Comparison]:
 
 
 def _rejecter(rows: Sequence[tuple[str, Callable]], frame: Frame) -> Optional[tuple[str, tuple]]:
-    """The id and decision of the first of a screen plan's rows that says No
-    in frame, or None when none does."""
+    """The id and decision of the first of a plan's rows that says No in
+    frame, or None when none does; a sufficient row never says No."""
     for rule_id, decide in rows:
         k = decide(frame)
         if k is not None and k[1] is _NO:
@@ -254,17 +228,19 @@ def _rejecter(rows: Sequence[tuple[str, Callable]], frame: Frame) -> Optional[tu
 
 def _negative_witness(
     Q: Bundle, D: Divisor
-) -> Optional[tuple[str, Iterable[Comparison]]]:
-    """The name and (deferred) comparisons of the first negative-capable row
-    that rejects the restriction to P(Q), or None when none does.  Only the
-    rows Q's canonical frame admits are decided."""
+) -> Optional[tuple[str, tuple[Comparison, ...]]]:
+    """The name and comparisons of the first row that says No on the
+    restriction of D to P(Q), or None when none does: the curve threshold
+    on a line Q, and otherwise the rows of Q's own very-ample plan but
+    R-QUOT-NEC.  The screen asks only on single atoms, whose plans never
+    admit R-QUOT-NEC; on a sum Q a witness is a row's No on Q itself, never
+    R-QUOT-NEC's on a sub-sum of Q, so it always quotes comparisons."""
     if Q.rank == 1:  # _curve_comparisons, decided in integers
-        return None if D.b + D.a * Q.degree >= 3 else (
-            "curve threshold", DeferredComparisons(_curve_comparisons, Q, D))
-    l, twisted, rows = _twisted("screen", Q)
+        return None if D.b + D.a * Q.degree >= 3 else ("curve threshold", _curve_comparisons(Q, D))
+    l, twisted, rows = _twisted("very_ample", Q)
     frame = Frame(l, twisted, D.a, D.b - D.a * l)
-    witness = _rejecter(rows, frame)
-    return None if witness is None else (witness[0], DeferredComparisons(witness[1][2], frame))
+    witness = _rejecter([row for row in rows if row[0] != _QUOTIENT.rule_id], frame)
+    return None if witness is None else (witness[0], witness[1][2].comparisons(frame))
 
 
 def _quotient_firings(E: Bundle, D: Divisor) -> list[RuleFiring]:
@@ -283,8 +259,7 @@ def _quotient_firings(E: Bundle, D: Divisor) -> list[RuleFiring]:
             outcome, (rejecter, comps) = Outcome.NO, witness
             note = f"restriction to P({Q}) is rejected by {rejecter}: "
         firings.append(RuleFiring(
-            _QUOTIENT.rule_id, _QUOTIENT.citation, Strength.NECESSARY, outcome, 0,
-            tuple(comps), note,
+            _QUOTIENT.rule_id, _QUOTIENT.citation, Strength.NECESSARY, outcome, 0, comps, note,
         ))
     return firings
 
@@ -293,15 +268,13 @@ def _quotient_firings(E: Bundle, D: Divisor) -> list[RuleFiring]:
 
 def _trail(property_name: str, E: Bundle, D: Divisor) -> tuple[RuleFiring, ...]:
     """Every row of the property's catalog evaluated in the canonical frame,
-    with its comparisons built, sorted by rule id; R-QUOT-NEC is evaluated in
-    frame 0 and, where it applies, written as one firing per screened
-    sub-sum."""
+    sorted by rule id; R-QUOT-NEC is evaluated in frame 0 and, where it
+    applies, written as one firing per screened sub-sum."""
     frame = canonical_frames(E, D)
     firings: list[RuleFiring] = []
-    for rule in _CATALOGS[property_name]:
+    for rule in CATALOGS[property_name]:
         if rule.special is None:
-            f = rule.evaluate(frame)
-            firings.append(f._replace(comparisons=tuple(f.comparisons)))
+            firings.append(rule.evaluate(frame))
         else:
             f = rule.evaluate(Frame(0, E, D.a, D.b))
             firings.extend([f] if f.outcome is Outcome.INAPPLICABLE else _quotient_firings(E, D))
@@ -319,9 +292,9 @@ def _merge(
     trail: Callable[[], tuple[RuleFiring, ...]],
 ) -> Verdict:
     """Bind the verdict on decisions, each a row's id and the (strength,
-    outcome, comparisons) its decider returned, None where the guard
-    fails; s is the slope invariant, read off the cell's frame.  trail
-    builds the firings the verdict shows when they are read."""
+    outcome, case) its decider returned, None where the guard fails; s is
+    the slope invariant, read off the cell's frame.  trail builds the
+    firings the verdict shows when they are read."""
     # the strongest No and Yes, as (not iff, rule id, strength): an iff
     # first, then the lowest rule id
     no = yes = None

@@ -28,27 +28,28 @@ in the frame (`_expression`).  A guard's bundle part is its conditions
 that read only the frame's bundle (the rank, the frame degree,
 (in)decomposable, "E ample", the degree mod the rank, 3 or 2), and its
 cell part those that read a or b; a case's condition reads the bundle
-only.  A catalog is a plain tuple of rows.  The bundle parts of all
-the rows compile into one function of the bundle (`admits`), which says by
-rule id which rows a bundle admits: every other row is inapplicable there.
+only.  A catalog is a plain tuple of rows, and `CATALOGS` holds each
+property's by its name.  The bundle parts of one catalog's rows compile
+into one function of the bundle (`admits[name]`), which returns the rows a
+bundle admits, in catalog order: every other row is inapplicable there.
 The engine asks it once per bundle and decides only the admitted rows in
 a cell; a row's decider checks the whole guard, so it decides the row in
 any frame by itself.  Everything else is derived from the cases: the
 row's strength (its first case's), the label and condition text `veryample
-rules` prints, the rows that screen the quotient scrolls for R-QUOT-NEC
-(every row whose strength is not sufficient), and the upper end of an
-Unknown window, which the engine reads off the case text of each
-applicable sufficient row whose only comparison is on s (`S_LABEL`,
-`_Text.end`): `s > t` leaves (.., t] open and `s >= t` leaves (.., t)
-open.  Two rows compare more than their text (`_BY_HAND`): R-A1-DEC
-compares every summand, and R-QUOT-NEC is decided by the engine's quotient
-screen (`special="quotient"`).
+rules` prints, and the upper end of an Unknown window, which the engine
+reads off each applicable sufficient row whose only comparison is on s
+(`S_LABEL`, `Case.end`, read off the case text once): `s > t` leaves
+(.., t] open and `s >= t` leaves (.., t) open.  Two rows compare more
+than their text (`_BY_HAND`): R-A1-DEC compares every summand, and
+R-QUOT-NEC is decided by the engine's quotient screen
+(`special="quotient"`).
 
 Comparisons are affine data: a left-hand side is an `_LHS` (beta, k, m),
 beta*b + k*a + m with k and m integer pairs of the frame (`_QUANTITY`), and
 a right-hand side a number or an `_RHS` pair.  Each is decided in integers,
 cross-multiplied over positive denominators in the row's decider, and
-built as a Comparison only when the trail or a witness's text reads it.
+built as a Comparison only where a firing or a witness is made
+(`Case.comparisons`).
 
 Only rows that can bind are kept.  A sufficient row implied by another
 under the same guard (s >= 3 by R-BUTLER's s > 2), or a necessary row whose
@@ -59,10 +60,11 @@ One function decides a row: its decider (`decider`), the whole row, its
 guard, case conditions, integer comparisons and outcome table, compiled
 into one function of the frame the first time the row is decided, so the
 import compiles no row.  It returns the deciding case's constant
-(strength, outcome, comparisons) (`entries`), or None where the guard
-fails, and builds nothing: that constant is what the engine merges on.  A
-Rule and its Cases are data only.  `Rule.evaluate` is the decider plus one
-shared RuleFiring constructor, the line the trail shows.
+(strength, outcome, case) (`entries`), or None where the guard fails,
+and builds nothing: that constant is what the engine merges on.  A Rule
+and its Cases are data only.  `Rule.evaluate` is the decider plus one
+shared RuleFiring constructor with the case's comparisons built, the line
+the trail shows.
 """
 
 from __future__ import annotations
@@ -70,13 +72,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, NamedTuple, Optional
 
 from ._frozen import Frozen, set_slot
 # unused here; kept because perfbench/tracing.py wraps rules.sym_power_split
 from .atiyah import sym_power_split  # noqa: F401
 from .bundles import Bundle
-from .verdicts import Comparison, DeferredComparisons, Outcome, RuleFiring, Strength
+from .verdicts import Comparison, Outcome, RuleFiring, Strength
 
 __all__ = [
     "Case",
@@ -87,6 +90,7 @@ __all__ = [
     "NORMALLY_GENERATED_RULES",
     "AMPLE_RULES",
     "ALL_RULES",
+    "CATALOGS",
     "RULES_BY_ID",
     "admits",
     "decider",
@@ -142,14 +146,21 @@ _OUTCOMES = {
 
 class Case(NamedTuple):
     """One case of a row: where it holds (`label`, a condition; the last
-    case takes every frame left), the strength it decides with there, and
-    its comparisons, as written (`text`) and as built in a frame
-    (`comparisons`, which also keeps the case's window end)."""
+    case takes every frame left), the strength it decides with there, its
+    comparisons as written (`text`), and the upper end of the Unknown
+    window it leaves open where it is sufficient and fails, read off the
+    text without building a Comparison: (t, True) for s > t alone, which
+    leaves (.., t] open, (t, False) for s >= t alone, which leaves (.., t),
+    else None."""
 
     label: str
     strength: Strength
     text: str
-    comparisons: _Text
+    end: Optional[tuple[Fraction, bool]]
+
+    def comparisons(self, fr: Frame) -> tuple[Comparison, ...]:
+        """The case's comparisons, built in the frame."""
+        return _builder(self.text)(fr)
 
 
 class Rule(NamedTuple):
@@ -188,22 +199,22 @@ class Rule(NamedTuple):
 
     def evaluate(self, frame: Frame) -> RuleFiring:
         """The row's firing in frame: the guard, the first case that holds and
-        its comparisons, built when read; strength None if the guard fails.
-        Only the trail, the screen's witness and the tests build firings; a
-        cell reads the decision alone (`decider`)."""
+        its comparisons; strength None if the guard fails.  Only the trail
+        and the tests build firings; a cell reads the decision alone
+        (`decider`)."""
         k = decider(self.rule_id)(frame)
         if k is None:
             return RuleFiring(self.rule_id, self.citation, None, Outcome.INAPPLICABLE,
                               frame.l, (), f"guard not met ({self.scope})")
         return RuleFiring(self.rule_id, self.citation, k[0], k[1], frame.l,
-                          DeferredComparisons(k[2], frame))
+                          k[2].comparisons(frame))
 
 
 # -- comparisons as data ------------------------------------------------------
 
 # The label of every comparison on s; the engine reads the upper end of an
 # Unknown window off the sufficient decisions that compare nothing else
-# (`_Text.end`).
+# (`Case.end`).
 S_LABEL = "b + a*mu^-(E)"
 
 # Each frame quantity, by name: its numerator and denominator (> 0 where defined) in `fr`.
@@ -293,23 +304,6 @@ def _window_end(text: str) -> Optional[tuple[Fraction, bool]]:
     return Fraction(int(tn), int(td)), op == ">"
 
 
-class _Text:
-    """A case's comparisons as written (`text`); called on a frame, they are
-    built.  `end` is the upper end of the Unknown window the case leaves
-    open where it is sufficient and fails, read without building a
-    Comparison: (t, True) for s > t alone, which leaves (.., t] open,
-    (t, False) for s >= t alone, which leaves (.., t), else None."""
-
-    __slots__ = ("text", "end")
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.end = _window_end(text)
-
-    def __call__(self, fr: Frame) -> tuple[Comparison, ...]:
-        return _builder(self.text)(fr)
-
-
 # -- conditions as data -------------------------------------------------------
 
 # Every condition a guard or a case may name that is neither a count nor a
@@ -376,17 +370,16 @@ def _holds(text: str) -> str:
 
 
 def entries(case: Case) -> tuple[tuple, tuple]:
-    """A case's decisions, (strength, outcome, comparisons), indexed by
-    whether its comparisons hold: the constants a row's decider returns."""
-    return tuple((case.strength, outcome, case.comparisons)
-                 for outcome in _OUTCOMES[case.strength])
+    """A case's decisions, (strength, outcome, case), indexed by whether
+    its comparisons hold: the constants a row's decider returns."""
+    return tuple((case.strength, outcome, case) for outcome in _OUTCOMES[case.strength])
 
 
 @lru_cache(maxsize=None)
 def decider(rule_id: str) -> Callable[[Frame], Optional[tuple]]:
     """The catalog row `rule_id` compiled into one function of the frame
-    that returns its case's constant (strength, outcome, comparisons), or
-    None where the guard fails; compiled on first use, so a process
+    that returns its case's constant (strength, outcome, case), or None
+    where the guard fails; compiled on first use, so a process
     compiles only the rows it decides, and the import compiles none."""
     rule = RULES_BY_ID[rule_id]
     names = {"rank3_exception": rank3_exception, "_a1_dec_sides": _a1_dec_sides}
@@ -427,7 +420,8 @@ def _cases(*cases: tuple[str, Strength, str]) -> tuple[Case, ...]:
         if i < len(cases) - 1:
             _expression(label)
         _holds(text)
-    return tuple(Case(label, strength, text, _Text(text)) for label, strength, text in cases)
+    return tuple(Case(label, strength, text, _window_end(text))
+                 for label, strength, text in cases)
 
 
 def _only(strength: Strength, text: str) -> tuple[Case, ...]:
@@ -668,23 +662,32 @@ NORMALLY_GENERATED_RULES = (
 )
 
 
-ALL_RULES: tuple[Rule, ...] = (
-    VERY_AMPLE_RULES
-    + AMPLE_RULES
-    + GLOBALLY_GENERATED_RULES
-    + NORMALLY_GENERATED_RULES
-)
+# Each property's catalog, by its name: the plan of a property on a bundle
+# holds the rows of its catalog, and `veryample rules` prints them in this order.
+CATALOGS: dict[str, tuple[Rule, ...]] = {
+    "very_ample": VERY_AMPLE_RULES,
+    "ample": AMPLE_RULES,
+    "globally_generated": GLOBALLY_GENERATED_RULES,
+    "normally_generated": NORMALLY_GENERATED_RULES,
+}
+
+ALL_RULES: tuple[Rule, ...] = sum(CATALOGS.values(), ())
 
 # each row by its id: the rule a verdict binds on, for `veryample classify`
 RULES_BY_ID: dict[str, Rule] = {rule.rule_id: rule for rule in ALL_RULES}
 
-# Whether a bundle admits each row, by rule id: the bundle parts of every
-# guard (`_bundle_part`), compiled into one function of the bundle alone, so
-# a part that read a or b would raise NameError.  A row a bundle excludes is
+
+def _admission(rows: tuple[Rule, ...]) -> Callable[[Bundle], tuple[Rule, ...]]:
+    """The rows a bundle admits, in catalog order: the bundle parts of their
+    guards (`_bundle_part`), compiled into one function of the bundle alone,
+    so a part that read a or b would raise NameError."""
+    parts = ", ".join(_bundle_part(rule.scope) for rule in rows)
+    return eval(f"lambda bundle: tuple(compress(ROWS, ({parts},)))".replace("fr.bundle", "bundle"),
+                {"rank3_exception": rank3_exception, "compress": compress, "ROWS": rows})
+
+
+# Each catalog's admission, by property name.  A row a bundle excludes is
 # inapplicable in every frame on that bundle.
-admits: Callable[[Bundle], dict[str, bool]] = eval(
-    "lambda bundle: {%s}" % ", ".join(
-        f"{rule.rule_id!r}: {_bundle_part(rule.scope)}" for rule in ALL_RULES
-    ).replace("fr.bundle", "bundle"),
-    {"rank3_exception": rank3_exception},
-)
+admits: dict[str, Callable[[Bundle], tuple[Rule, ...]]] = {
+    name: _admission(rows) for name, rows in CATALOGS.items()
+}

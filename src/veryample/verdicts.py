@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ._frozen import Frozen, set_slot, validated_make
 
@@ -104,31 +103,14 @@ class Comparison(_ComparisonFields):
         )
 
 
-class DeferredComparisons(partial):
-    """Comparisons that `partial(build, *args)` builds when called; iterated,
-    compared, hashed or pickled, it is that tuple, and a pickle keeps it."""
-
-    def __iter__(self):
-        return iter(self())
-
-    def __eq__(self, other):
-        return self() == other
-
-    def __hash__(self) -> int:
-        return hash(self())
-
-    def __reduce__(self):
-        return tuple, (self(),)
-
-
 class RuleFiring(NamedTuple):
     """One rule evaluated against one divisor in one frame.
 
-    The record keeps the comparisons the rule made (deferred by a row, built
-    in the trail) and a note that prefixes them: why the rule did not apply,
-    or which restriction it speaks for.  The condition text and the deciding
-    lhs, threshold and strictness are derived from those two when read, so a
-    firing nobody prints is never rendered.
+    The record keeps the comparisons the rule made and a note that prefixes
+    them: why the rule did not apply, or which restriction it speaks for.
+    The condition text and the deciding lhs, threshold and strictness are
+    derived from those two when read, so a firing nobody prints is never
+    rendered.
     """
 
     rule_id: str
@@ -136,13 +118,13 @@ class RuleFiring(NamedTuple):
     strength: Optional[Strength]
     outcome: Outcome
     frame: int
-    comparisons: Iterable[Comparison] = ()
+    comparisons: tuple[Comparison, ...] = ()
     note: str = ""
 
     @property
     def deciding(self) -> Optional[Comparison]:
         """The first failing comparison; if all hold, the first one."""
-        comps = tuple(self.comparisons)
+        comps = self.comparisons
         return next((c for c in comps if not c.holds), comps[0] if comps else None)
 
     @property

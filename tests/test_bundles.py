@@ -207,10 +207,6 @@ class TestAmpleness:
         assert B.is_ample == (B.mu_minus > 0)
 
 
-def _no_comparisons(frame):
-    return ()
-
-
 # (factory, a field, repr): the factory builds a fresh value on each call
 VALUES = [
     (lambda: IndecBundle(rank=1, degree=2), "rank", "IndecBundle(rank=1, degree=2)"),
@@ -239,12 +235,12 @@ VALUES = [
     ),
     (
         lambda: Rule("R-X", "very_ample", "c", "every divisor",
-                     (Case("", Strength.IFF, "a >= 1", _no_comparisons),)),
+                     (Case("", Strength.IFF, "a >= 1", None),)),
         "rule_id",
         "Rule(rule_id='R-X', property_name='very_ample', citation='c', "
         "scope='every divisor', cases=(Case(label='', "
         "strength=<Strength.IFF: 'iff'>, text='a >= 1', "
-        f"comparisons={_no_comparisons!r}),), special=None)",
+        "end=None),), special=None)",
     ),
     (
         lambda: Comparison("s", Fraction(1), ">=", Fraction(3)),

@@ -44,7 +44,7 @@ from veryample.rules import (
     Frame,
     Rule,
 )
-from veryample.verdicts import DeferredComparisons, RuleFiring, Window
+from veryample.verdicts import RuleFiring, Window
 
 from conftest import bundles, small_bundles
 
@@ -290,11 +290,12 @@ class TestGuards:
         # the guard split: a bundle part reads no cell field, and a row its
         # bundle excludes is inapplicable in every cell on that bundle, in
         # the frame the trail evaluates it in (R-QUOT-NEC's untwisted); the
-        # plan of each of the five catalogs holds exactly the other rows,
-        # each as its id and its decider, R-QUOT-NEC's holding its screen
-        assert list(engine._CATALOGS.values()) == [
+        # plan of each of the four catalogs holds exactly the rows its
+        # admission keeps, each as its id and its decider, R-QUOT-NEC's
+        # holding its screen
+        assert list(rules.CATALOGS.values()) == [
             VERY_AMPLE_RULES, AMPLE_RULES, GLOBALLY_GENERATED_RULES,
-            NORMALLY_GENERATED_RULES, engine._SCREEN_RULES]
+            NORMALLY_GENERATED_RULES]
         for rule in ALL_RULES:
             part = rules._bundle_part(rule.scope)
             assert not re.search(r"\bfr\.(a|b|sn|sd|l)\b", part), (rule.rule_id, part)
@@ -304,33 +305,34 @@ class TestGuards:
             for a in range(0, 7):
                 for b in range(-9, 9):
                     frame = canonical_frames(E, Divisor(a, b))
-                    admits = rules.admits(frame.bundle)
-                    for name, catalog in engine._CATALOGS.items():
+                    for name, catalog in rules.CATALOGS.items():
+                        admitted = rules.admits[name](frame.bundle)
                         l, twisted, plan = engine._twisted(name, E)
                         assert (l, twisted) == (frame.l, frame.bundle)
                         assert [rule_id for rule_id, _ in plan] == [
-                            r.rule_id for r in catalog if admits[r.rule_id]]
+                            r.rule_id for r in admitted]
                         for rule_id, decide in plan:
                             if rules.RULES_BY_ID[rule_id].special is None:
                                 assert decide is rules.decider(rule_id)
                             else:
                                 assert decide.func is engine._decide_quotient
                         for rule in catalog:
-                            if admits[rule.rule_id]:
+                            if rule in admitted:
                                 continue
                             where = Frame(0, E, a, b) if rule.special else frame
                             assert rule.evaluate(where).outcome is Outcome.INAPPLICABLE, (
                                 rule.rule_id, str(E), a, b)
                             excluded_decisions += 1
-        assert (len(sweep), excluded_decisions) == (399, 968_562)
+        assert (len(sweep), excluded_decisions) == (399, 634_158)
 
     def test_cache_clear_leaves_no_per_bundle_state(self, monkeypatch):
         # the plan cache and the screen's sub-sums hold all per-bundle
         # state: once both are cleared, a bundle seen before is admitted again
         E, D = parse_bundle("1:0,2:-1"), Divisor(2, 3)
         classify_very_ample(E, D)
-        admitted, original = [], engine.admits
-        monkeypatch.setattr(engine, "admits", lambda F: admitted.append(F) or original(F))
+        admitted, original = [], engine.admits["very_ample"]
+        monkeypatch.setitem(engine.admits, "very_ample",
+                            lambda F: admitted.append(F) or original(F))
         classify_very_ample(E, D)
         assert admitted == []
         engine._twisted.cache_clear()
@@ -492,16 +494,18 @@ def _comparison_window(firings, lo):
 
 
 class _Built(tuple):
-    """A trail firing's built comparisons where a decision holds its case
-    text: they read no window end, so the trail's window is read off the
-    Comparisons themselves (`_comparison_window`)."""
+    """A trail firing's built comparisons where a decision holds its case:
+    their `end` is None, so the merge reads no window end off the case and
+    the trail's window is read off the Comparisons themselves
+    (`_comparison_window`)."""
 
     end = None
 
 
 def _decisions(firings):
     """The trail's firings as the merge takes decisions: each row's id and
-    its (strength, outcome, comparisons), None where the guard failed."""
+    its (strength, outcome, case), None where the guard failed; the case
+    is the firing's comparisons, with no `Case.end`."""
     return [(f.rule_id, None if f.strength is None else
              (f.strength, f.outcome, _Built(f.comparisons))) for f in firings]
 
@@ -676,8 +680,8 @@ class TestLazyTrail:
     ]
 
     def test_a_decided_cell_builds_one_fraction_and_no_comparison(self, monkeypatch):
-        # nor a firing: the cell evaluates no row and defers no comparison
-        built = {"Fraction": 0, "Comparison": 0, "DeferredComparisons": 0}
+        # nor a firing: the cell evaluates no row
+        built = {"Fraction": 0, "Comparison": 0}
 
         def count(owner, name, key):
             original = getattr(owner, name)
@@ -693,16 +697,15 @@ class TestLazyTrail:
         if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 arithmetic
             count(Fraction, "_from_coprime_ints", "Fraction")
         count(rules.Comparison, "__new__", "Comparison")
-        count(DeferredComparisons, "__new__", "DeferredComparisons")
         evaluated = self._count(monkeypatch, Rule, "evaluate")
         assert {r.rule_id for r in VERY_AMPLE_RULES} == {c[0] for c in self.BINDING_CELLS}
         for rule_id, text, a, b in self.BINDING_CELLS:
             E = parse_bundle(text)
-            built.update(Fraction=0, Comparison=0, DeferredComparisons=0)
+            built.update(Fraction=0, Comparison=0)
             evaluated.clear()
             v = classify_very_ample(E, Divisor(a, b))
             assert not v.is_unknown and v.binding_rule == rule_id, (text, a, b)
-            assert built == {"Fraction": 1, "Comparison": 0, "DeferredComparisons": 0}, (
+            assert built == {"Fraction": 1, "Comparison": 0}, (
                 rule_id, text, a, b)
             assert evaluated == [], (rule_id, text, a, b)
             assert v.slope_invariant == pushforward_mu_minus(E, a, b)
@@ -711,11 +714,11 @@ class TestLazyTrail:
             assert built["Comparison"] > 0, (rule_id, text, a, b)
         # an Unknown cell reads its window's upper end off R-BUTLER's and
         # R-RK3-INDEC's case texts, s > 2 and s > 4/3, building no Comparison
-        built.update(Fraction=0, Comparison=0, DeferredComparisons=0)
+        built.update(Fraction=0, Comparison=0)
         evaluated.clear()
         v = classify_very_ample(parse_bundle("3:2"), Divisor(2, 0))
         assert v.is_unknown and v.unknown_window.render() == "(0, 4/3]"
-        assert (built["Comparison"], built["DeferredComparisons"], evaluated) == (0, 0, [])
+        assert (built["Comparison"], evaluated) == (0, [])
 
     def test_quotient_screen_stops_at_the_first_witness(self, monkeypatch):
         # 12 distinct lines: the first screened sub-sum, the lowest line
@@ -781,6 +784,27 @@ class TestQuotientScreen:
     """The screen visits O(atoms) sub-sums; these gates check the proof in
     engine.py that no other sub-sum can carry a negative witness."""
 
+    def test_an_atoms_screen_is_its_own_very_ample_no(self):
+        # the screen of a non-line atom reads the atom's very-ample plan:
+        # it has a witness exactly where the atom's own verdict is No, and
+        # the witness is a row that can say No, never a sufficient one
+        cells = witnesses = 0
+        for r in range(2, 9):
+            for d in range(-10, 11):
+                A = Bundle(((r, d),))
+                for a in range(1, 7):
+                    for b in range(-9, 9):
+                        D = Divisor(a, b)
+                        witness = engine._negative_witness(A, D)
+                        assert (witness is not None) is classify_very_ample(A, D).is_no, (
+                            str(A), a, b)
+                        if witness is not None:
+                            assert rules.RULES_BY_ID[witness[0]].strength is not (
+                                Strength.SUFFICIENT), (str(A), a, b, witness[0])
+                            witnesses += 1
+                        cells += 1
+        assert (cells, witnesses) == (15_876, 9_074)
+
     def test_decision_is_the_evaluation_in_frame_0(self):
         # the cell decides R-QUOT-NEC in its own frame, by the screen on
         # the plan: field by field it is the row's decision in frame 0, a
@@ -840,15 +864,16 @@ class TestQuotientScreen:
     @example(parse_bundle("1:1,2:3"), 2, 0)  # R-RK3-DEC's No on the line
     def test_a_no_on_a_sum_shows_on_one_atom(self, Q, a, b):
         # every decomposable Q of rank 2..8, not only rank >= 4: a No from
-        # a screen row shows on one atom, the one-atom screen's assumption
+        # a very-ample row but R-QUOT-NEC shows on one atom, the one-atom
+        # screen's assumption
         if Q.is_indecomposable:
             return
         D = Divisor(a, b)
         frame = canonical_frames(Q, D)
         saying_no = {
             rule.rule_id
-            for rule in engine._SCREEN_RULES
-            if rule.evaluate(frame).outcome is Outcome.NO
+            for rule in VERY_AMPLE_RULES
+            if rule is not _QUOT and rule.evaluate(frame).outcome is Outcome.NO
         }
         assert saying_no <= _PRUNING_ROWS, (str(Q), a, b)
         if saying_no and a >= 1:
