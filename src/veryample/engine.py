@@ -1,6 +1,6 @@
 """Decision and merge: from the rule catalog to a single Verdict.
 
-Every classification follows the same path: build the canonical twist
+Every classification follows the same path: take the canonical twist
 frame, decide every catalog row in it, then merge the decisions under
 the lattice  No  >  Yes(iff)  >  Yes(sufficient)  >  Unknown.  A
 simultaneous Yes and No is not a tie to break: it means the catalog is
@@ -9,32 +9,35 @@ anything.
 
 One plan per property and bundle.  The plan of a property's catalog on E
 (`_twisted`, the one cache keyed by bundle besides the screen's sub-sums)
-holds l0, E(l0) and the rows of the catalog that E(l0) admits
-(`rules.admits[property]`, from each guard's bundle part), each as its id
-and its decider (`rules.decider`); a row it excludes is inapplicable in
-every cell on that bundle.  A cell reads the plan once, builds one frame
-and calls only the admitted rows' deciders, each once.  A decider returns
-its case's constant (strength, outcome, case), or None where the guard
-fails, and builds no record.  R-QUOT-NEC is admitted on the canonical
-bundle, as its bundle part, "decomposable", is the same in every twist;
-admitted, its guard is down to a >= 1, and its decider is the screen,
-which the plan holds: the lowest line's degree and each non-line atom's
-own very-ample plan.  It returns the row's No as soon as one screened
-sub-sum Q has a negative witness, so it stops there, and its pass
-otherwise.  The verdict binds on these decisions, the strongest No or Yes
-found in one pass, reads its slope invariant off the frame and its Unknown
-window's upper end off the cases of the insufficient ones (`Case.end`); an
-excluded row says neither yes nor no and compares nothing, so it would
-change neither.
+holds l0, E(l0), the minimal-slope atom of E(l0) as (rank r, degree d),
+and the rows of the catalog that E(l0) admits (`rules.admits[property]`,
+from each guard's bundle part), each as its id and its decider
+(`rules.decider`); a row it excludes is inapplicable in every cell on that
+bundle.  A cell reads the plan once and builds no frame: its integers are
+a, b' = b - a*l0 and s = sn/sd with sn = b'*r + a*d and sd = r, and
+`_merge` calls each admitted row's decider once, on these and E(l0), and
+binds in the same pass.  A decider returns its case's constant (strength,
+outcome, case), or None where the guard fails, and builds no record.
+R-QUOT-NEC is admitted on the canonical bundle, as its bundle part,
+"decomposable", is the same in every twist; admitted, its guard is down
+to a >= 1, and its decider is the screen, which the plan holds: l0, the
+lowest line's degree and each non-line atom's own very-ample plan, whose
+rows it decides on that atom's integers.  It returns the row's No as soon
+as one screened sub-sum Q has a negative witness, so it stops there, and
+its pass otherwise.  The verdict binds on the strongest No or Yes found in
+that pass, takes sn/sd as its slope invariant and its Unknown window's
+upper end off the cases of the insufficient rows (`Case.end`); an excluded
+row says neither yes nor no and compares nothing, so it would change
+neither.
 
 The trail comes from the catalog alone.  A verdict keeps the property, E
 and D, plain data, so it pickles; the first read of its `firings`
 evaluates every row of the catalog in the canonical frame by
-`Rule.evaluate`, which is the row's decider and one RuleFiring
-constructor, R-QUOT-NEC in frame 0, the untwisted one, where it applies
-screened again for one firing per screened sub-sum, and sorts them by
-rule id.  A decider decides its row in any frame by itself, so the trail
-shows what the cell decided.
+`Rule.evaluate`, which is the row's decider on the frame's integers
+(`Frame.cell`) and one RuleFiring constructor, R-QUOT-NEC in frame 0, the
+untwisted one, where it applies screened again for one firing per
+screened sub-sum, and sorts them by rule id.  A decider decides its row in
+any frame by itself, so the trail shows what the cell decided.
 
 The quotient screen.  R-QUOT-NEC restricts D to the quotient scrolls P(Q),
 Q a proper sub-sum of E's atoms: if D is very ample on P(E), its
@@ -81,7 +84,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from ._frozen import validated_make
 from .atiyah import pushforward_mu_minus
-from .bundles import Bundle
+from .bundles import Bundle, IndecBundle
 from .errors import ContradictionError, DomainError
 from .rules import CATALOGS, VERY_AMPLE_RULES, Frame, admits, decider, entries
 from .verdicts import (
@@ -153,15 +156,18 @@ _IFF, _STATUS_NO, _STATUS_YES = Strength.IFF, Status.NO, Status.YES
 
 
 @lru_cache(maxsize=8192)
-def _twisted(catalog: str, E: Bundle) -> tuple[int, Bundle, tuple[tuple[str, Callable], ...]]:
+def _twisted(
+    catalog: str, E: Bundle
+) -> tuple[int, Bundle, IndecBundle, tuple[tuple[str, Callable], ...]]:
     """The plan of a property's catalog on E: the canonical twist l0,
-    E(l0), and the rows of the catalog that E(l0) admits, in catalog order,
-    each as its id and its decider; R-QUOT-NEC's decider holds its screen.
-    Sweeps decide every cell of a bundle on the same plan."""
+    E(l0), its minimal-slope atom (rank, degree), and the rows of the
+    catalog that E(l0) admits, in catalog order, each as its id and its
+    decider; R-QUOT-NEC's decider holds its screen.  Sweeps decide every
+    cell of a bundle on the same plan."""
     l = -(E.degree // E.rank)
     twisted = E.twist(l)
-    return l, twisted, tuple(
-        (r.rule_id, decider(r.rule_id) if r.special is None else _quotient_decider(E))
+    return l, twisted, twisted.slope_ends[0], tuple(
+        (r.rule_id, decider(r.rule_id) if r.special is None else _quotient_decider(l, E))
         for r in admits[catalog](twisted)
     )
 
@@ -184,28 +190,31 @@ _QUOTIENT = next(r for r in VERY_AMPLE_RULES if r.special == "quotient")
 _QUOTIENT_DECISIONS = entries(_QUOTIENT.cases[0])
 
 
-def _quotient_decider(E: Bundle) -> Callable[[Frame], Optional[tuple]]:
-    """R-QUOT-NEC's decider on a bundle that admits it, holding its screen:
-    the lowest line's degree (None if the screen visits no line) and the
-    very-ample plan of each non-line sub-sum."""
+def _quotient_decider(l: int, E: Bundle) -> Callable[..., Optional[tuple]]:
+    """R-QUOT-NEC's decider on a bundle E that admits it, in E's canonical
+    twist l, holding its screen: the lowest line's degree (None if the
+    screen visits no line) and the very-ample plan of each non-line
+    sub-sum."""
     subs = _proper_sub_multisets(E)
     line = subs[0].degree if subs and subs[0].rank == 1 else None
-    return partial(_decide_quotient, line,
+    return partial(_decide_quotient, l, line,
                    tuple(_twisted("very_ample", Q) for Q in subs if Q.rank > 1))
 
 
-def _decide_quotient(line: Optional[int], plans: tuple, fr: Frame) -> Optional[tuple]:
-    """R-QUOT-NEC's decision in the cell's frame: No at the first screened
-    sub-sum with a negative witness, else a pass.  Admitted, its guard is
-    down to a >= 1, so it returns None only below that."""
-    a = fr.a
+def _decide_quotient(
+    l: int, line: Optional[int], plans: tuple, a: int, b: int, sn: int, sd: int, E: Bundle
+) -> Optional[tuple]:
+    """R-QUOT-NEC's decision in the cell, in the twist l: No at the first
+    screened sub-sum with a negative witness, else a pass.  Admitted, its
+    guard is down to a >= 1, so it returns None only below that."""
     if a < 1:
         return None
-    b = fr.b + a * fr.l  # D's b, in frame 0
+    b += a * l  # D's b, in frame 0
     if line is not None and b + a * line < 3:
         return _QUOTIENT_DECISIONS[0]
-    for l, twisted, rows in plans:
-        if _rejecter(rows, Frame(l, twisted, a, b - a * l)) is not None:
+    for lq, Q, (r, d), rows in plans:
+        bq = b - a * lq
+        if _rejecter(rows, a, bq, bq * r + a * d, r, Q) is not None:
             return _QUOTIENT_DECISIONS[0]
     return _QUOTIENT_DECISIONS[1]
 
@@ -216,11 +225,13 @@ def _curve_comparisons(Q: Bundle, D: Divisor) -> tuple[Comparison]:
     return (Comparison(f"b + a*deg({Q})", Fraction(D.b + D.a * Q.degree), ">=", Fraction(3)),)
 
 
-def _rejecter(rows: Sequence[tuple[str, Callable]], frame: Frame) -> Optional[tuple[str, tuple]]:
+def _rejecter(
+    rows: Sequence[tuple[str, Callable]], a: int, b: int, sn: int, sd: int, E: Bundle
+) -> Optional[tuple[str, tuple]]:
     """The id and decision of the first of a plan's rows that says No in
-    frame, or None when none does; a sufficient row never says No."""
+    the cell, or None when none does; a sufficient row never says No."""
     for rule_id, decide in rows:
-        k = decide(frame)
+        k = decide(a, b, sn, sd, E)
         if k is not None and k[1] is _NO:
             return rule_id, k
     return None
@@ -237,10 +248,12 @@ def _negative_witness(
     R-QUOT-NEC's on a sub-sum of Q, so it always quotes comparisons."""
     if Q.rank == 1:  # _curve_comparisons, decided in integers
         return None if D.b + D.a * Q.degree >= 3 else ("curve threshold", _curve_comparisons(Q, D))
-    l, twisted, rows = _twisted("very_ample", Q)
-    frame = Frame(l, twisted, D.a, D.b - D.a * l)
-    witness = _rejecter([row for row in rows if row[0] != _QUOTIENT.rule_id], frame)
-    return None if witness is None else (witness[0], witness[1][2].comparisons(frame))
+    l, twisted, (r, d), rows = _twisted("very_ample", Q)
+    a, b = D.a, D.b - D.a * l
+    witness = _rejecter([row for row in rows if row[0] != _QUOTIENT.rule_id],
+                        a, b, b * r + a * d, r, twisted)
+    return None if witness is None else (
+        witness[0], witness[1][2].comparisons(Frame(l, twisted, a, b)))
 
 
 def _quotient_firings(E: Bundle, D: Divisor) -> list[RuleFiring]:
@@ -286,29 +299,35 @@ def _merge(
     property_name: str,
     E: Bundle,
     D: Divisor,
-    s: Fraction,
-    decisions: Sequence[tuple[str, Optional[tuple]]],
     lo: Optional[tuple[int, bool]],
     trail: Callable[[], tuple[RuleFiring, ...]],
+    rows: Sequence[tuple[str, Callable]],
+    a: int, b: int, sn: int, sd: int, F: Bundle,
 ) -> Verdict:
-    """Bind the verdict on decisions, each a row's id and the (strength,
-    outcome, case) its decider returned, None where the guard fails; s is
-    the slope invariant, read off the cell's frame.  trail builds the
-    firings the verdict shows when they are read."""
+    """Decide each of a plan's rows in the cell (a, b, sn, sd, F), the
+    plan's frame, and bind the verdict in the same pass: a decider returns
+    (strength, outcome, case), or None where the guard fails.  The slope
+    invariant is sn/sd; trail builds the firings the verdict shows when
+    they are read."""
     # the strongest No and Yes, as (not iff, rule id, strength): an iff
-    # first, then the lowest rule id
+    # first, then the lowest rule id; and each insufficient row's window end
     no = yes = None
-    for rule_id, k in decisions:
+    ends = []
+    for rule_id, decide in rows:
+        k = decide(a, b, sn, sd, F)
         if k is None:
             continue
-        if k[1] is _NO:
+        outcome = k[1]
+        if outcome is _NO:
             key = (k[0] is not _IFF, rule_id, k[0])
             if no is None or key < no:
                 no = key
-        elif k[1] is _YES:
+        elif outcome is _YES:
             key = (k[0] is not _IFF, rule_id, k[0])
             if yes is None or key < yes:
                 yes = key
+        elif outcome is _INSUFFICIENT:
+            ends.append(k[2].end)
     if yes is not None and no is not None:
         # the message quotes the first of each in the trail, with its text
         firings = trail()
@@ -319,13 +338,12 @@ def _merge(
             f"D = {D}: {yes.rule_id} concludes yes ({yes.condition}) "
             f"but {no.rule_id} concludes no ({no.condition})"
         )
+    s = Fraction(sn, sd)
     if no is not None:
-        return Verdict(property_name, _STATUS_NO, no[2], no[1], trail, slope_invariant=s)
+        return Verdict(property_name, _STATUS_NO, no[2], no[1], trail, None, None, s)
     if yes is not None:
-        return Verdict(property_name, _STATUS_YES, yes[2], yes[1], trail, slope_invariant=s)
-    # the Unknown window's upper end: the least that the case texts of the
-    # insufficient rows leave open
-    ends = [k[2].end for _, k in decisions if k is not None and k[1] is _INSUFFICIENT]
+        return Verdict(property_name, _STATUS_YES, yes[2], yes[1], trail, None, None, s)
+    # the window's upper end: the least that the insufficient rows leave open
     hi = min(filter(None, ends), default=None)
     window = Window(
         lo=Fraction(lo[0]) if lo else None,
@@ -334,22 +352,20 @@ def _merge(
         hi_inclusive=hi[1] if hi else False,
     )
     reason = "open-range" if ends else "no-applicable-rule"
-    return Verdict(
-        property_name, Status.UNKNOWN, None, None, trail,
-        unknown_window=window, unknown_reason=reason, slope_invariant=s,
-    )
+    return Verdict(property_name, Status.UNKNOWN, None, None, trail, window, reason, s)
 
 
 def _classify(
     property_name: str, E: Bundle, D: Divisor, lo: Optional[tuple[int, bool]]
 ) -> Verdict:
     """The verdict on the rows the plan of E admits, each decided once in
-    the cell's frame; the trail is built from the catalog when read."""
-    l, twisted, plan = _twisted(property_name, E)
-    frame = Frame(l, twisted, D.a, D.b - D.a * l)
-    return _merge(property_name, E, D, frame.s,
-                  [(rule_id, decide(frame)) for rule_id, decide in plan], lo,
-                  partial(_trail, property_name, E, D))
+    the plan's frame on the cell's integers; the trail is built from the
+    catalog when read."""
+    l, twisted, (r, d), rows = _twisted(property_name, E)
+    a, b = D
+    b -= a * l
+    return _merge(property_name, E, D, lo, partial(_trail, property_name, E, D),
+                  rows, a, b, b * r + a * d, r, twisted)
 
 
 def classify_very_ample(E: Bundle, D: Divisor) -> Verdict:

@@ -24,11 +24,12 @@ built, and an unknown phrase fails there.  A condition is a named one
 (`_NAMED`, such as "E ample" or "deg = 0 (mod rank)"), a count on a, the
 rank or the frame degree ("a >= 2", "rank 4"), "P needs Q and R" (P
 implies Q and R), or a comparison, and each compiles into an expression
-in the frame (`_expression`).  A guard's bundle part is its conditions
-that read only the frame's bundle (the rank, the frame degree,
-(in)decomposable, "E ample", the degree mod the rank, 3 or 2), and its
-cell part those that read a or b; a case's condition reads the bundle
-only.  A catalog is a plain tuple of rows, and `CATALOGS` holds each
+in the frame's cell (`_expression`): the integers a, b, sn and sd, where
+s = sn/sd, and the bundle E, all in that frame (`CELL`).  A guard's
+bundle part is its conditions that read only the frame's bundle E (the
+rank, the frame degree, (in)decomposable, "E ample", the degree mod the
+rank, 3 or 2), and its cell part those that read a or b; a case's
+condition reads E only.  A catalog is a plain tuple of rows, and `CATALOGS` holds each
 property's by its name.  The bundle parts of one catalog's rows compile
 into one function of the bundle (`admits[name]`), which returns the rows a
 bundle admits, in catalog order: every other row is inapplicable there.
@@ -58,13 +59,15 @@ thresholds), never changes a verdict, a window or a binding rule.
 
 One function decides a row: its decider (`decider`), the whole row, its
 guard, case conditions, integer comparisons and outcome table, compiled
-into one function of the frame the first time the row is decided, so the
-import compiles no row.  It returns the deciding case's constant
-(strength, outcome, case) (`entries`), or None where the guard fails,
-and builds nothing: that constant is what the engine merges on.  A Rule
-and its Cases are data only.  `Rule.evaluate` is the decider plus one
-shared RuleFiring constructor with the case's comparisons built, the line
-the trail shows.
+into one function of the cell, decider(rule_id)(a, b, sn, sd, E), the
+first time the row is decided, so the import compiles no row.  It returns
+the deciding case's constant (strength, outcome, case) (`entries`), or
+None where the guard fails, and builds nothing: that constant is what the
+engine merges on.  A cell passes its integers straight from the plan and
+builds no Frame; a Frame passes its own (`Frame.cell`).  A Rule and its
+Cases are data only.  `Rule.evaluate(frame)` is the decider on the
+frame's cell plus one shared RuleFiring constructor with the case's
+comparisons built, the line the trail shows.
 """
 
 from __future__ import annotations
@@ -103,7 +106,8 @@ class Frame(Frozen):
     """One divisor, seen in one twist frame: E(l) with b replaced by b - a*l.
 
     s = b + a*mu^-(E), invariant under change of frame, is computed once,
-    with the frame, as the integers sn/sd with sd > 0.
+    with the frame, as the integers sn/sd with sd > 0.  A cell decides on
+    these integers alone and builds no frame; the trail and the tests do.
     """
 
     __slots__ = ("l", "bundle", "a", "b", "sn", "sd")
@@ -121,6 +125,11 @@ class Frame(Frozen):
     @property
     def s(self) -> Fraction:
         return Fraction(self.sn, self.sd)
+
+    @property
+    def cell(self) -> tuple[int, int, int, int, Bundle]:
+        """The frame as the arguments of a decider (`CELL`)."""
+        return self.a, self.b, self.sn, self.sd, self.bundle
 
 
 def rank3_exception(E: Bundle) -> bool:
@@ -160,7 +169,7 @@ class Case(NamedTuple):
 
     def comparisons(self, fr: Frame) -> tuple[Comparison, ...]:
         """The case's comparisons, built in the frame."""
-        return _builder(self.text)(fr)
+        return _builder(self.text)(*fr.cell)
 
 
 class Rule(NamedTuple):
@@ -202,7 +211,7 @@ class Rule(NamedTuple):
         its comparisons; strength None if the guard fails.  Only the trail
         and the tests build firings; a cell reads the decision alone
         (`decider`)."""
-        k = decider(self.rule_id)(frame)
+        k = decider(self.rule_id)(*frame.cell)
         if k is None:
             return RuleFiring(self.rule_id, self.citation, None, Outcome.INAPPLICABLE,
                               frame.l, (), f"guard not met ({self.scope})")
@@ -217,18 +226,25 @@ class Rule(NamedTuple):
 # (`Case.end`).
 S_LABEL = "b + a*mu^-(E)"
 
-# Each frame quantity, by name: its numerator and denominator (> 0 where defined) in `fr`.
+# The arguments of every compiled function of a cell, a decider or a
+# builder: a, b, s = sn/sd (sd > 0) and the bundle E, all in one frame.
+CELL = "a, b, sn, sd, E"
+# An argument of the cell but E, read as a word of an expression.
+_READS_CELL = re.compile(r"\b(a|b|sn|sd)\b")
+
+# Each frame quantity, by name: its numerator and denominator (> 0 where
+# defined) in the cell (`CELL`).
 _QUANTITY: dict[str, tuple[str, str]] = {
     "0": ("0", "1"),
     "1": ("1", "1"),
     "1/2": ("1", "2"),
     "1/3": ("1", "3"),
-    "1/r": ("1", "fr.bundle.rank"),
-    "2/r": ("2", "fr.bundle.rank"),
-    "1/(r-2)": ("(1 if fr.bundle.rank > 2 else -1)", "abs(fr.bundle.rank - 2)"),
-    "1/(d-1)": ("(1 if fr.bundle.degree > 1 else -1)", "abs(fr.bundle.degree - 1)"),
-    "mu^-": ("fr.bundle.slope_ends[0].degree", "fr.sd"),
-    "mu": ("fr.bundle.degree", "fr.bundle.rank"),
+    "1/r": ("1", "E.rank"),
+    "2/r": ("2", "E.rank"),
+    "1/(r-2)": ("(1 if E.rank > 2 else -1)", "abs(E.rank - 2)"),
+    "1/(d-1)": ("(1 if E.degree > 1 else -1)", "abs(E.degree - 1)"),
+    "mu^-": ("E.slope_ends[0].degree", "sd"),
+    "mu": ("E.degree", "E.rank"),
 }
 
 # Each left-hand side, by label: (beta, k, m) for beta*b + k*a + m ("-q" is -q).
@@ -251,9 +267,9 @@ _LHS: dict[str, tuple[int, str, str]] = {
 
 # The right-hand sides in the rank r, as pairs like _QUANTITY's; others are numbers.
 _RHS: dict[str, tuple[str, str]] = {
-    "1 + 1/r": ("fr.bundle.rank + 1", "fr.bundle.rank"),
-    "1 + 2/r": ("fr.bundle.rank + 2", "fr.bundle.rank"),
-    "1 + 2/(r-1)": ("fr.bundle.rank + 1", "fr.bundle.rank - 1"),
+    "1 + 1/r": ("E.rank + 1", "E.rank"),
+    "1 + 2/r": ("E.rank + 2", "E.rank"),
+    "1 + 2/(r-1)": ("E.rank + 1", "E.rank - 1"),
 }
 
 
@@ -265,24 +281,24 @@ def _times(*factors: str) -> str:
 
 
 def _parse(text: str) -> tuple[str, str, str, str, str, str]:
-    """A comparison's label, operator, and sides as expressions in `fr`: each
-    numerator and positive denominator, (beta*b*kd*md + kn*a*md + mn*kd) /
-    (kd*md) on the left."""
+    """A comparison's label, operator, and sides as expressions in the cell:
+    each numerator and positive denominator, (beta*b*kd*md + kn*a*md +
+    mn*kd) / (kd*md) on the left."""
     op = ">=" if " >= " in text else ">"
     label, _, rhs = text.partition(f" {op} ")
     beta, k, m = _LHS[label]
     (kn, kd), (mn, md) = _QUANTITY[k], _QUANTITY[m.lstrip("-")]
     mn = f"-{mn}" if m.startswith("-") else mn
-    terms = (_times(str(beta), "fr.b", kd, md), _times(kn, "fr.a", md), _times(mn, kd))
+    terms = (_times(str(beta), "b", kd, md), _times(kn, "a", md), _times(mn, kd))
     num, den = " + ".join(t for t in terms if t != "0") or "0", _times(kd, md)
     if label == S_LABEL:
-        num, den = "fr.sn", "fr.sd"  # the same s, kept by the frame
+        num, den = "sn", "sd"  # the same s, an argument of the cell
     tn, td = _RHS[rhs] if rhs in _RHS else map(str, Fraction(rhs).as_integer_ratio())
     return label, op, num, den, tn, td
 
 
 @lru_cache(maxsize=None)
-def _builder(text: str) -> Callable[[Frame], tuple[Comparison, ...]]:
+def _builder(text: str) -> Callable[..., tuple[Comparison, ...]]:
     """The comparisons of `text`, joined by " and ", built as Comparisons:
     compiled on first use, as only a read of the comparisons needs it."""
     if text in _BY_HAND:
@@ -291,7 +307,7 @@ def _builder(text: str) -> Callable[[Frame], tuple[Comparison, ...]]:
         f"Comparison({label!r}, Fraction({num}, {den}), {op!r}, Fraction({tn}, {td})), "
         for label, op, num, den, tn, td in map(_parse, text.split(" and "))
     )
-    return eval(f"lambda fr: ({comps})", {"Comparison": Comparison, "Fraction": Fraction})
+    return eval(f"lambda {CELL}: ({comps})", {"Comparison": Comparison, "Fraction": Fraction})
 
 
 def _window_end(text: str) -> Optional[tuple[Fraction, bool]]:
@@ -307,19 +323,19 @@ def _window_end(text: str) -> Optional[tuple[Fraction, bool]]:
 # -- conditions as data -------------------------------------------------------
 
 # Every condition a guard or a case may name that is neither a count nor a
-# comparison, as the expression in the frame `fr` it compiles to.
+# comparison, as the expression in the cell it compiles to.
 _NAMED: dict[str, str] = {
     "every divisor": "True",
-    "indecomposable": "fr.bundle.is_indecomposable",
-    "decomposable": "not fr.bundle.is_indecomposable",
-    "E ample": "fr.bundle.is_ample",
-    "deg even": "fr.bundle.degree % 2 == 0",
-    "deg = 0 (mod rank)": "fr.bundle.degree % fr.bundle.rank == 0",
-    "deg = 0 (mod 3)": "fr.bundle.degree % 3 == 0",
-    "deg = 1 (mod 3)": "fr.bundle.degree % 3 == 1",
-    "4 <= frame degree < rank": "4 <= fr.bundle.degree < fr.bundle.rank",
-    "rank = degree + 1": "fr.bundle.rank == fr.bundle.degree + 1",
-    "outside the exceptional family": "not rank3_exception(fr.bundle)",
+    "indecomposable": "E.is_indecomposable",
+    "decomposable": "not E.is_indecomposable",
+    "E ample": "E.is_ample",
+    "deg even": "E.degree % 2 == 0",
+    "deg = 0 (mod rank)": "E.degree % E.rank == 0",
+    "deg = 0 (mod 3)": "E.degree % 3 == 0",
+    "deg = 1 (mod 3)": "E.degree % 3 == 1",
+    "4 <= frame degree < rank": "4 <= E.degree < E.rank",
+    "rank = degree + 1": "E.rank == E.degree + 1",
+    "outside the exceptional family": "not rank3_exception(E)",
 }
 
 # A count: "a = 1", "a >= 2", "rank 4", "frame degree >= 4".
@@ -328,7 +344,7 @@ _COUNT = re.compile(r"(a|rank|frame degree) (?:(>=|=) )?(\d+)")
 
 @lru_cache(maxsize=None)
 def _expression(text: str) -> str:
-    """The expression in `fr` of one condition: a named one, a count, "P
+    """The expression in the cell of one condition: a named one, a count, "P
     needs Q and R" (P implies Q and R) or a comparison, cross-multiplied
     over its positive denominators.  An unknown phrase raises KeyError.
     Kept per text, as a guard's are read twice: whole, and its bundle part."""
@@ -337,8 +353,8 @@ def _expression(text: str) -> str:
     count = _COUNT.fullmatch(text)
     if count:
         name, op, n = count.groups()
-        attr = {"a": "a", "rank": "bundle.rank", "frame degree": "bundle.degree"}[name]
-        return f"fr.{attr} {'>=' if op == '>=' else '=='} {int(n)}"
+        value = {"a": "a", "rank": "E.rank", "frame degree": "E.degree"}[name]
+        return f"{value} {'>=' if op == '>=' else '=='} {int(n)}"
     premise, needs, rest = text.partition(" needs ")
     if needs:
         conclusion = " and ".join(_expression(t) for t in rest.split(" and "))
@@ -353,16 +369,15 @@ def _conditions(scope: str) -> list[str]:
 
 
 def _bundle_part(scope: str) -> str:
-    """The guard's bundle part: the conjunction, as an expression in `fr`, of
-    its conditions that read no field of the frame but its bundle; "True" if
-    none does.  The rest, its cell part, reads a or b."""
-    parts = [e for e in map(_expression, _conditions(scope))
-             if "fr." not in e.replace("fr.bundle", "")]
+    """The guard's bundle part: the conjunction, as an expression in E, of
+    its conditions that read no argument of the cell but E; "True" if none
+    does.  The rest, its cell part, reads a or b."""
+    parts = [e for e in map(_expression, _conditions(scope)) if not _READS_CELL.search(e)]
     return " and ".join(parts) or "True"
 
 
 def _holds(text: str) -> str:
-    """The expression in `fr` that decides the comparisons `text`, joined
+    """The expression in the cell that decides the comparisons `text`, joined
     by " and ", or a text compiled by hand (`_BY_HAND`)."""
     if text in _BY_HAND:
         return _BY_HAND[text][0]
@@ -376,7 +391,7 @@ def entries(case: Case) -> tuple[tuple, tuple]:
 
 
 @lru_cache(maxsize=None)
-def decider(rule_id: str) -> Callable[[Frame], Optional[tuple]]:
+def decider(rule_id: str) -> Callable[..., Optional[tuple]]:
     """The catalog row `rule_id` compiled into one function of the frame
     that returns its case's constant (strength, outcome, case), or None
     where the guard fails; compiled on first use, so a process
@@ -397,7 +412,7 @@ def _row_source(rule: Rule) -> str:
         for i, case in enumerate(rule.cases)
     )
     guard = " and ".join(map(_expression, _conditions(rule.scope)))
-    return f"lambda fr: ({pick}) if {guard} else None"
+    return f"lambda {CELL}: ({pick}) if {guard} else None"
 
 
 def _rule(
@@ -429,10 +444,10 @@ def _only(strength: Strength, text: str) -> tuple[Case, ...]:
     return _cases(("", strength, text))
 
 
-def _a1_dec_sides(fr: Frame) -> list[tuple]:
+def _a1_dec_sides(b: int, E: Bundle) -> list[tuple]:
     # each summand A, the numerator of b + mu(A) over rank A, and its threshold
-    return [(A, fr.b * A.rank + A.degree, 3 if A.degree % A.rank == 0 else 2)
-            for A in fr.bundle.atoms]
+    return [(A, b * A.rank + A.degree, 3 if A.degree % A.rank == 0 else 2)
+            for A in E.atoms]
 
 
 _A1_DEC_TEXT = "b + mu(E_j) >= 3 when deg = 0 (mod rank), else >= 2"
@@ -443,16 +458,17 @@ _QUOT_TEXT = (
 )
 
 # The two case texts that compare more than their words: each with its
-# expression in `fr` and its builder.  R-A1-DEC compares every summand, and
+# expression in the cell and its builder.  R-A1-DEC compares every summand, and
 # R-QUOT-NEC holds wherever its guard does, as the engine's quotient screen
 # decides it.
-_BY_HAND: dict[str, tuple[str, Callable[[Frame], tuple[Comparison, ...]]]] = {
+_BY_HAND: dict[str, tuple[str, Callable[..., tuple[Comparison, ...]]]] = {
     _A1_DEC_TEXT: (
-        "all(n >= t * A.rank for A, n, t in _a1_dec_sides(fr))",
-        lambda fr: tuple(Comparison(f"b + mu({A})", Fraction(n, A.rank), ">=", Fraction(t))
-                         for A, n, t in _a1_dec_sides(fr)),
+        "all(n >= t * A.rank for A, n, t in _a1_dec_sides(b, E))",
+        lambda a, b, sn, sd, E: tuple(
+            Comparison(f"b + mu({A})", Fraction(n, A.rank), ">=", Fraction(t))
+            for A, n, t in _a1_dec_sides(b, E)),
     ),
-    _QUOT_TEXT: ("True", lambda fr: ()),
+    _QUOT_TEXT: ("True", lambda a, b, sn, sd, E: ()),
 }
 
 
@@ -682,7 +698,7 @@ def _admission(rows: tuple[Rule, ...]) -> Callable[[Bundle], tuple[Rule, ...]]:
     guards (`_bundle_part`), compiled into one function of the bundle alone,
     so a part that read a or b would raise NameError."""
     parts = ", ".join(_bundle_part(rule.scope) for rule in rows)
-    return eval(f"lambda bundle: tuple(compress(ROWS, ({parts},)))".replace("fr.bundle", "bundle"),
+    return eval(f"lambda E: tuple(compress(ROWS, ({parts},)))",
                 {"rank3_exception": rank3_exception, "compress": compress, "ROWS": rows})
 
 

@@ -517,7 +517,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 def test_import_compiles_no_catalog_row():
     # the catalog's rows compile on first use: the import evaluates no
-    # source that reads a frame, while a classification does
+    # source of a function of the cell, while a classification does
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     spy = (
         "import builtins\n"
@@ -529,9 +529,10 @@ def test_import_compiles_no_catalog_row():
         "import veryample.cli\n"
         "at_import = list(seen)\n"
         "veryample.cli.main(['classify', '--bundle', '2:1', '--a', '2', '--b', '1'])\n"
-        "print(sum('fr.' in s for s in at_import), "
-        "any('lambda bundle:' in s for s in at_import), "
-        "sum('fr.' in s for s in seen[len(at_import):]) > 0)\n"
+        "row = 'lambda a, b, sn, sd, E:'\n"
+        "print(sum(row in s for s in at_import), "
+        "any('lambda E:' in s for s in at_import), "
+        "sum(row in s for s in seen[len(at_import):]) > 0)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", spy], capture_output=True, text=True, timeout=60,

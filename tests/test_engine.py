@@ -233,10 +233,15 @@ class TestFiringTrail:
                     assert fired == [rule.evaluate(frame) for rule in rows], (str(E), a, b)
 
 
+def _in_cell(expression, frame):
+    # an expression the catalog compiles, evaluated on the frame's cell
+    return eval(f"lambda {rules.CELL}: {expression}",
+                {"rank3_exception": rules.rank3_exception})(*frame.cell)
+
+
 def _condition(text, frame):
     # one condition or comparison, decided by the expression a row compiles
-    return eval(rules._expression(text),
-                {"fr": frame, "rank3_exception": rules.rank3_exception})
+    return _in_cell(rules._expression(text), frame)
 
 
 class TestGuards:
@@ -298,7 +303,7 @@ class TestGuards:
             NORMALLY_GENERATED_RULES]
         for rule in ALL_RULES:
             part = rules._bundle_part(rule.scope)
-            assert not re.search(r"\bfr\.(a|b|sn|sd|l)\b", part), (rule.rule_id, part)
+            assert not re.search(r"\b(a|b|sn|sd)\b", part), (rule.rule_id, part)
         sweep = list(dict.fromkeys(self.SWEEP + small_bundles(4, 2)))
         excluded_decisions = 0
         for E in sweep:
@@ -307,8 +312,9 @@ class TestGuards:
                     frame = canonical_frames(E, Divisor(a, b))
                     for name, catalog in rules.CATALOGS.items():
                         admitted = rules.admits[name](frame.bundle)
-                        l, twisted, plan = engine._twisted(name, E)
-                        assert (l, twisted) == (frame.l, frame.bundle)
+                        l, twisted, low, plan = engine._twisted(name, E)
+                        assert (l, twisted, low) == (
+                            frame.l, frame.bundle, frame.bundle.slope_ends[0])
                         assert [rule_id for rule_id, _ in plan] == [
                             r.rule_id for r in admitted]
                         for rule_id, decide in plan:
@@ -417,11 +423,11 @@ class TestIntegerDecision:
     @staticmethod
     def _check(frame, label, text, lhs, op, rhs):
         _, _, num, den, _, _ = rules._parse(text)
-        num, den = eval(num, {"fr": frame}), eval(den, {"fr": frame})
+        num, den = _in_cell(num, frame), _in_cell(den, frame)
         assert den > 0 and Fraction(num, den) == lhs, text
         expected = lhs > rhs if op == ">" else lhs >= rhs
         assert _condition(text, frame) is expected, text
-        built, = rules._builder(text)(frame)
+        built, = rules._builder(text)(*frame.cell)
         assert (built.lhs, built.op, built.rhs, built.holds) == (lhs, op, rhs, expected), text
 
     @settings(max_examples=300, derandomize=True)
@@ -502,12 +508,20 @@ class _Built(tuple):
     end = None
 
 
-def _decisions(firings):
-    """The trail's firings as the merge takes decisions: each row's id and
-    its (strength, outcome, case), None where the guard failed; the case
-    is the firing's comparisons, with no `Case.end`."""
-    return [(f.rule_id, None if f.strength is None else
-             (f.strength, f.outcome, _Built(f.comparisons))) for f in firings]
+def _rows(firings):
+    """The trail's firings as the merge takes a plan's rows: each row's id
+    and a constant decider that returns its (strength, outcome, case), None
+    where the guard failed; the case is the firing's comparisons, with no
+    `Case.end`."""
+    return [(f.rule_id, functools.partial(
+        lambda k, *cell: k,
+        None if f.strength is None else (f.strength, f.outcome, _Built(f.comparisons))))
+        for f in firings]
+
+
+def _cell(a, b, s, F):
+    """A cell the merge decides its rows in, with slope invariant s."""
+    return a, b, s.numerator, s.denominator, F
 
 
 class TestDecidedMerge:
@@ -525,8 +539,8 @@ class TestDecidedMerge:
                     D = Divisor(a, b)
                     decided = _classify(name, E, D, lo)
                     firings = _trail(name, E, D)
-                    recorded = _merge(name, E, D, pushforward_mu_minus(E, a, b),
-                                      _decisions(firings), lo, trail=lambda: firings)
+                    recorded = _merge(name, E, D, lo, lambda: firings, _rows(firings),
+                                      *_cell(a, b, pushforward_mu_minus(E, a, b), E))
                     window = recorded.is_unknown and _comparison_window(firings, lo)
                     assert _summary(decided) == _summary(recorded, window), (str(E), a, b)
                     cells += 1
@@ -580,7 +594,7 @@ class TestLazyTrail:
 
     @staticmethod
     def _count_decisions(monkeypatch):
-        """Every call of a row's decider, as (rule id, frame): the plans are
+        """Every call of a row's decider, as (rule id, cell): the plans are
         built afresh from counting deciders, in a plan cache that goes with
         the patch.  R-QUOT-NEC's decider is the engine's screen, whose rows
         are counted on the sub-sums."""
@@ -589,7 +603,7 @@ class TestLazyTrail:
 
         def counting(rule_id):
             decide = original(rule_id)
-            return lambda frame: calls.append((rule_id, frame)) or decide(frame)
+            return lambda *cell: calls.append((rule_id, cell)) or decide(*cell)
 
         monkeypatch.setattr(engine, "decider", counting)
         monkeypatch.setattr(engine, "_twisted", functools.lru_cache(maxsize=None)(
@@ -606,8 +620,10 @@ class TestLazyTrail:
         evaluated = self._count(monkeypatch, Rule, "evaluate")
         v = classify_very_ample(parse_bundle("3:5"), Divisor(2, -2))
         assert v.is_unknown and v.unknown_window.render() == "(0, 4/3]"
-        cell = [(rule_id, frame.l) for rule_id, frame in decided]
-        assert cell == [(rule_id, -1) for rule_id in (
+        l0 = canonical_frames(parse_bundle("3:5"), Divisor(2, -2))
+        assert l0.l == -1
+        cell = list(decided)
+        assert cell == [(rule_id, l0.cell) for rule_id in (
             "R-FIBER", "R-MIYAOKA", "R-BUTLER", "R-A1-INDEC", "R-RK3-INDEC")]
         assert evaluated == []
         v.firings
@@ -634,7 +650,7 @@ class TestLazyTrail:
             decided.clear()
             evaluated.clear()
             v = classify_very_ample(E, Divisor(a, b))
-            on_E = [rule_id for rule_id, frame in decided if frame.bundle.rank == E.rank]
+            on_E = [rule_id for rule_id, cell in decided if cell[4].rank == E.rank]
             assert on_E == admitted  # at a = 0 too: admission reads the bundle only
             assert evaluated == []
             quotient = [f for f in v.firings if f.rule_id == "R-QUOT-NEC"]
@@ -720,6 +736,33 @@ class TestLazyTrail:
         assert v.is_unknown and v.unknown_window.render() == "(0, 4/3]"
         assert (built["Comparison"], evaluated) == (0, [])
 
+    def test_a_cell_builds_no_frame(self, monkeypatch):
+        # a cell decides on its plan's integers, the screen's sub-sums too:
+        # from empty caches and with every trail unread, the four properties
+        # build no Frame over the sweep; reading one trail still builds its
+        # frames
+        built = []
+        original = Frame.__init__
+        monkeypatch.setattr(Frame, "__init__",
+                            lambda self, *args: built.append(args) or original(self, *args))
+        engine._twisted.cache_clear()
+        engine._proper_sub_multisets.cache_clear()
+        cells = 0
+        for E in small_bundles(4, 2) + WIDE_SUMS:
+            for a in range(0, 5):
+                for b in range(-5, 6):
+                    D = Divisor(a, b)
+                    classify_very_ample(E, D)
+                    for name, lo, min_a in PROPERTIES[1:]:
+                        if a >= min_a:
+                            _classify(name, E, D, lo)
+                    cells += 1
+        assert (cells, built) == (281 * 5 * 11, [])
+        v = classify_very_ample(parse_bundle("1:0,2:-1"), Divisor(2, 2))
+        assert built == []
+        v.firings
+        assert built
+
     def test_quotient_screen_stops_at_the_first_witness(self, monkeypatch):
         # 12 distinct lines: the first screened sub-sum, the lowest line
         # 1:0, has b + a*deg = 2 < 3, decided off the plan's line degree;
@@ -770,10 +813,10 @@ def _quotient_decision(E, D):
     """R-QUOT-NEC's decision as a cell makes it, by the plan's decider in
     the cell's frame, where E's plan admits the row, and otherwise the
     row's decision in frame 0, where its trail evaluates it."""
-    decide = dict(engine._twisted("very_ample", E)[2]).get(_QUOT.rule_id)
+    decide = dict(engine._twisted("very_ample", E)[3]).get(_QUOT.rule_id)
     if decide is None:
-        return rules.decider(_QUOT.rule_id)(Frame(0, E, D.a, D.b))
-    return decide(canonical_frames(E, D))
+        return rules.decider(_QUOT.rule_id)(*Frame(0, E, D.a, D.b).cell)
+    return decide(*canonical_frames(E, D).cell)
 
 
 def _outcome(decision):
@@ -816,7 +859,7 @@ class TestQuotientScreen:
             for a in range(0, 6):
                 for b in range(-9, 9):
                     D = Divisor(a, b)
-                    expected = decide(Frame(0, E, a, b))
+                    expected = decide(*Frame(0, E, a, b).cell)
                     evaluated = _QUOT.evaluate(Frame(0, E, a, b))
                     witness = any(engine._negative_witness(Q, D) is not None
                                   for Q in engine._proper_sub_multisets(E))
@@ -934,9 +977,10 @@ class TestMergeContract:
             self._firing("R-SYNTH-A", Strength.SUFFICIENT, Outcome.YES),
             self._firing("R-SYNTH-B", Strength.NECESSARY, Outcome.NO),
         )
+        E = parse_bundle("2:1")
         with pytest.raises(ContradictionError):
-            _merge("very_ample", parse_bundle("2:1"), Divisor(2, 1), Fraction(2),
-                   _decisions(firings), lo=(Fraction(0), True), trail=lambda: firings)
+            _merge("very_ample", E, Divisor(2, 1), (Fraction(0), True), lambda: firings,
+                   _rows(firings), *_cell(2, 1, Fraction(2), E))
 
     def test_contradiction_on_decisions_quotes_the_trail(self):
         firings = (
@@ -946,13 +990,13 @@ class TestMergeContract:
         E, D = parse_bundle("2:1"), Divisor(2, 1)
         # as the deciders return them: no note, so the text is the trail's,
         # whichever order the decisions come in
-        decisions = _decisions(firings)
+        rows = _rows(firings)
         with pytest.raises(ContradictionError) as decided:
-            _merge("very_ample", E, D, Fraction(2), decisions, lo=(Fraction(0), True),
-                   trail=lambda: firings)
+            _merge("very_ample", E, D, (Fraction(0), True), lambda: firings,
+                   rows, *_cell(2, 1, Fraction(2), E))
         with pytest.raises(ContradictionError) as reversed_:
-            _merge("very_ample", E, D, Fraction(2), decisions[::-1], lo=(Fraction(0), True),
-                   trail=lambda: firings)
+            _merge("very_ample", E, D, (Fraction(0), True), lambda: firings,
+                   rows[::-1], *_cell(2, 1, Fraction(2), E))
         assert str(decided.value) == str(reversed_.value) == (
             "rule table contradiction for very_ample on P(2:1) with D = 2T+1f: "
             "R-SYNTH-A concludes yes (synthetic) but R-SYNTH-B concludes no (synthetic)")
@@ -963,8 +1007,9 @@ class TestMergeContract:
             self._firing("R-SYNTH-Z", Strength.IFF, Outcome.YES),
             self._firing("R-SYNTH-A", Strength.SUFFICIENT, Outcome.YES),
         )
-        v = _merge("very_ample", parse_bundle("2:1"), Divisor(2, 1), Fraction(2),
-                   _decisions(firings), lo=(Fraction(0), True), trail=lambda: firings)
+        E = parse_bundle("2:1")
+        v = _merge("very_ample", E, Divisor(2, 1), (Fraction(0), True), lambda: firings,
+                   _rows(firings), *_cell(2, 1, Fraction(2), E))
         assert v.binding_rule == "R-SYNTH-Z" and v.slope_invariant == Fraction(2)
         assert v.strength is Strength.IFF
 
