@@ -41,7 +41,7 @@ from .errors import (
     DomainError,
     H0UndefinedError,
 )
-from .rules import ALL_RULES, Frame, Rule, VERY_AMPLE_RULES, rank3_exception
+from .rules import ALL_RULES, Rule, VERY_AMPLE_RULES, rank3_exception
 from .verdicts import (
     Comparison,
     Outcome,
@@ -87,7 +87,6 @@ __all__ = [
     "classify_very_ample",
     # rules
     "Rule",
-    "Frame",
     "ALL_RULES",
     "VERY_AMPLE_RULES",
     "rank3_exception",

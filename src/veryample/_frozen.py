@@ -1,7 +1,7 @@
-"""The base of the slotted value types (Bundle, Frame and Verdict), and
-the `_make` of the named tuples that validate.
+"""The base of the slotted value types (Bundle and Verdict), and the
+`_make` of the named tuples that validate.
 
-The plain records of the package are typing.NamedTuples.  The three types
+The plain records of the package are typing.NamedTuples.  The two types
 here have a custom constructor, a value computed once, or a field that
 equality leaves out, so they are small __slots__ classes instead; this
 module gives them what a frozen record needs.

@@ -30,14 +30,16 @@ upper end off the cases of the insufficient rows (`Case.end`); an excluded
 row says neither yes nor no and compares nothing, so it would change
 neither.
 
-The trail comes from the catalog alone.  A verdict keeps the property, E
-and D, plain data, so it pickles; the first read of its `firings`
-evaluates every row of the catalog in the canonical frame by
-`Rule.evaluate`, which is the row's decider on the frame's integers
-(`Frame.cell`) and one RuleFiring constructor, R-QUOT-NEC in frame 0, the
-untwisted one, where it applies screened again for one firing per
-screened sub-sum, and sorts them by rule id.  A decider decides its row in
-any frame by itself, so the trail shows what the cell decided.
+The trail reads the plan.  A verdict keeps the property, E and D, plain
+data, so it pickles; the first read of its `firings` computes the cell
+once, as a cell does, and writes one firing for every row of the catalog
+(`Rule.evaluate`, which decides nothing): an admitted row's from its
+decider's decision in that cell, an excluded row's as its constant "guard
+not met" in frame l0, with nothing compiled or decided, and R-QUOT-NEC's
+in frame 0, the untwisted one, where it applies as one firing per
+screened sub-sum, screened again.  It sorts them by rule id.  The cell
+and the trail call the same deciders on the same integers, so the trail
+shows what the cell decided.
 
 The quotient screen.  R-QUOT-NEC restricts D to the quotient scrolls P(Q),
 Q a proper sub-sum of E's atoms: if D is very ample on P(E), its
@@ -64,16 +66,18 @@ these assumptions against the catalog, and the decision against the full
 enumeration, so a catalog edit that breaks the pruning fails them.
 
 Frames: twisting E by a degree-l line bundle re-coordinatizes P(E) and
-sends aT + bf to aT + (b - a*l)f.  The canonical frame is the twist l0 with
-0 <= deg E(l0) < rank; in any other frame each row is inapplicable or
-decides as in l0.  The rows guarded by a frame degree (R-R4D3, R-D3ANYR,
-R-D2-*, R-D1-INDEC, R-DGE4, R-RD1) need one in 1..rank - 1, which only l0
-has, and only they read b + a, b + a/k or "E ample".  Every other row reads
-what a twist keeps: a, s, b + a*mu(E), the rank, deg mod rank,
-indecomposability, `rank3_exception`, and at a = 1 b + mu(E), b + mu^-(E)
-and each b + mu(A).  The tests check this for every row in frame l0 + 1.
-The slope invariant and all verdicts are frame-independent; the firing
-records keep the frame they fired in, and R-QUOT-NEC's record frame 0.
+sends aT + bf to aT + (b - a*l)f.  A frame is the twist l and the cell it
+gives, (a, b - a*l, sn, sd, E(l)).  The canonical frame is the twist l0
+with 0 <= deg E(l0) < rank; in any other frame each row is inapplicable
+or decides as in l0.  The rows guarded by a frame degree (R-R4D3,
+R-D3ANYR, R-D2-*, R-D1-INDEC, R-DGE4, R-RD1) need one in 1..rank - 1,
+which only l0 has, and only they read b + a, b + a/k or "E ample".
+Every other row reads what a twist keeps: a, s, b + a*mu(E), the rank,
+deg mod rank, indecomposability, `rank3_exception`, and at a = 1
+b + mu(E), b + mu^-(E) and each b + mu(A).  The tests check this for every
+row in frame l0 + 1.  The slope invariant and all verdicts are
+frame-independent; the firing records keep the frame they fired in, and
+R-QUOT-NEC's record frame 0.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ from ._frozen import validated_make
 from .atiyah import pushforward_mu_minus
 from .bundles import Bundle, IndecBundle
 from .errors import ContradictionError, DomainError
-from .rules import CATALOGS, VERY_AMPLE_RULES, Frame, admits, decider, entries
+from .rules import CATALOGS, VERY_AMPLE_RULES, admits, decider, entries
 from .verdicts import (
     Comparison,
     Outcome,
@@ -139,12 +143,12 @@ def _require_projective_bundle(E: Bundle) -> None:
         )
 
 
-def canonical_frames(E: Bundle, D: Divisor) -> Frame:
-    """The one canonical frame: the twist l0 with 0 <= deg E(l0) < rank,
-    carrying the transformed divisor coefficient b - a*l0 (module
-    docstring)."""
+def canonical_frames(E: Bundle, D: Divisor) -> tuple[int, Bundle, int, int]:
+    """The one canonical frame as (l0, E(l0), a, b - a*l0): the twist l0
+    with 0 <= deg E(l0) < rank and the divisor's coefficients there
+    (module docstring)."""
     l = -(E.degree // E.rank)
-    return Frame(l, E.twist(l), D.a, D.b - D.a * l)
+    return l, E.twist(l), D.a, D.b - D.a * l
 
 
 # -- the plan, and the quotient screen (R-QUOT-NEC) ---------------------------
@@ -250,10 +254,9 @@ def _negative_witness(
         return None if D.b + D.a * Q.degree >= 3 else ("curve threshold", _curve_comparisons(Q, D))
     l, twisted, (r, d), rows = _twisted("very_ample", Q)
     a, b = D.a, D.b - D.a * l
-    witness = _rejecter([row for row in rows if row[0] != _QUOTIENT.rule_id],
-                        a, b, b * r + a * d, r, twisted)
-    return None if witness is None else (
-        witness[0], witness[1][2].comparisons(Frame(l, twisted, a, b)))
+    cell = (a, b, b * r + a * d, r, twisted)
+    witness = _rejecter([row for row in rows if row[0] != _QUOTIENT.rule_id], *cell)
+    return None if witness is None else (witness[0], witness[1][2].comparisons(*cell))
 
 
 def _quotient_firings(E: Bundle, D: Divisor) -> list[RuleFiring]:
@@ -280,17 +283,23 @@ def _quotient_firings(E: Bundle, D: Divisor) -> list[RuleFiring]:
 # -- trail and merge ----------------------------------------------------------
 
 def _trail(property_name: str, E: Bundle, D: Divisor) -> tuple[RuleFiring, ...]:
-    """Every row of the property's catalog evaluated in the canonical frame,
-    sorted by rule id; R-QUOT-NEC is evaluated in frame 0 and, where it
-    applies, written as one firing per screened sub-sum."""
-    frame = canonical_frames(E, D)
+    """A firing for every row of the property's catalog, sorted by rule id:
+    a row E's plan admits fires its decision in the plan's cell, one it
+    excludes is inapplicable in frame l0, and R-QUOT-NEC is written in
+    frame 0, where it applies as one firing per screened sub-sum."""
+    l, twisted, (r, d), rows = _twisted(property_name, E)
+    a, b = D.a, D.b - D.a * l
+    cell = (a, b, b * r + a * d, r, twisted)
+    admitted = dict(rows)
     firings: list[RuleFiring] = []
     for rule in CATALOGS[property_name]:
+        decide = admitted.get(rule.rule_id)
         if rule.special is None:
-            firings.append(rule.evaluate(frame))
+            firings.append(rule.evaluate(l, None if decide is None else decide(*cell), cell))
+        elif decide is not None and a >= 1:
+            firings.extend(_quotient_firings(E, D))
         else:
-            f = rule.evaluate(Frame(0, E, D.a, D.b))
-            firings.extend([f] if f.outcome is Outcome.INAPPLICABLE else _quotient_firings(E, D))
+            firings.append(rule.evaluate(0, None, cell))
     firings.sort(key=lambda f: f.rule_id)
     return tuple(firings)
 

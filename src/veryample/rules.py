@@ -18,7 +18,7 @@ rules` prints.  The guard (`scope`) is a list of conditions, split at ", "
 and "; ".  Each case has a label, which is its condition, a strength (iff,
 sufficient or necessary) and its comparisons, such as "b + a/2 > 2".  In a
 frame where the guard holds, the first case whose condition holds decides
-the row (`Rule.evaluate`); the last case takes every frame left, so its
+the row (`decider`); the last case takes every frame left, so its
 label is only printed.  Each text is parsed once, when the catalog is
 built, and an unknown phrase fails there.  A condition is a named one
 (`_NAMED`, such as "E ample" or "deg = 0 (mod rank)"), a count on a, the
@@ -63,11 +63,12 @@ into one function of the cell, decider(rule_id)(a, b, sn, sd, E), the
 first time the row is decided, so the import compiles no row.  It returns
 the deciding case's constant (strength, outcome, case) (`entries`), or
 None where the guard fails, and builds nothing: that constant is what the
-engine merges on.  A cell passes its integers straight from the plan and
-builds no Frame; a Frame passes its own (`Frame.cell`).  A Rule and its
-Cases are data only.  `Rule.evaluate(frame)` is the decider on the
-frame's cell plus one shared RuleFiring constructor with the case's
-comparisons built, the line the trail shows.
+engine merges on.  The cell and the trail both pass it the integers of
+the plan, so a process compiles only the rows its plans admit.  A Rule
+and its Cases are data only.  `Rule.evaluate(l, k, cell)` decides
+nothing: it is the firing of a decision k in frame l, one shared
+RuleFiring constructor with the case's comparisons built on the cell
+(`Case.comparisons`), the line the trail shows.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from functools import lru_cache
 from itertools import compress
 from typing import Callable, NamedTuple, Optional
 
-from ._frozen import Frozen, set_slot
 # unused here; kept because perfbench/tracing.py wraps rules.sym_power_split
 from .atiyah import sym_power_split  # noqa: F401
 from .bundles import Bundle
@@ -86,7 +86,6 @@ from .verdicts import Comparison, Outcome, RuleFiring, Strength
 
 __all__ = [
     "Case",
-    "Frame",
     "Rule",
     "VERY_AMPLE_RULES",
     "GLOBALLY_GENERATED_RULES",
@@ -100,36 +99,6 @@ __all__ = [
     "entries",
     "rank3_exception",
 ]
-
-
-class Frame(Frozen):
-    """One divisor, seen in one twist frame: E(l) with b replaced by b - a*l.
-
-    s = b + a*mu^-(E), invariant under change of frame, is computed once,
-    with the frame, as the integers sn/sd with sd > 0.  A cell decides on
-    these integers alone and builds no frame; the trail and the tests do.
-    """
-
-    __slots__ = ("l", "bundle", "a", "b", "sn", "sd")
-    _fields = ("l", "bundle", "a", "b")
-
-    def __init__(self, l: int, bundle: Bundle, a: int, b: int) -> None:
-        set_slot(self, "l", l)
-        set_slot(self, "bundle", bundle)
-        set_slot(self, "a", a)
-        set_slot(self, "b", b)
-        low = bundle.slope_ends[0]
-        set_slot(self, "sn", b * low.rank + a * low.degree)
-        set_slot(self, "sd", low.rank)
-
-    @property
-    def s(self) -> Fraction:
-        return Fraction(self.sn, self.sd)
-
-    @property
-    def cell(self) -> tuple[int, int, int, int, Bundle]:
-        """The frame as the arguments of a decider (`CELL`)."""
-        return self.a, self.b, self.sn, self.sd, self.bundle
 
 
 def rank3_exception(E: Bundle) -> bool:
@@ -167,9 +136,11 @@ class Case(NamedTuple):
     text: str
     end: Optional[tuple[Fraction, bool]]
 
-    def comparisons(self, fr: Frame) -> tuple[Comparison, ...]:
-        """The case's comparisons, built in the frame."""
-        return _builder(self.text)(*fr.cell)
+    def comparisons(
+        self, a: int, b: int, sn: int, sd: int, E: Bundle
+    ) -> tuple[Comparison, ...]:
+        """The case's comparisons, built in the cell (`CELL`)."""
+        return _builder(self.text)(a, b, sn, sd, E)
 
 
 class Rule(NamedTuple):
@@ -206,17 +177,15 @@ class Rule(NamedTuple):
             for c in self.cases
         )
 
-    def evaluate(self, frame: Frame) -> RuleFiring:
-        """The row's firing in frame: the guard, the first case that holds and
-        its comparisons; strength None if the guard fails.  Only the trail
-        and the tests build firings; a cell reads the decision alone
-        (`decider`)."""
-        k = decider(self.rule_id)(*frame.cell)
+    def evaluate(self, l: int, k: Optional[tuple], cell: tuple) -> RuleFiring:
+        """The row's firing in frame l for its decision k there, None if the
+        guard fails (`decider`), with the case's comparisons built on the
+        cell; it decides nothing.  Only the trail and the tests build
+        firings; a cell reads the decision alone."""
         if k is None:
             return RuleFiring(self.rule_id, self.citation, None, Outcome.INAPPLICABLE,
-                              frame.l, (), f"guard not met ({self.scope})")
-        return RuleFiring(self.rule_id, self.citation, k[0], k[1], frame.l,
-                          k[2].comparisons(frame))
+                              l, (), f"guard not met ({self.scope})")
+        return RuleFiring(self.rule_id, self.citation, k[0], k[1], l, k[2].comparisons(*cell))
 
 
 # -- comparisons as data ------------------------------------------------------
@@ -419,8 +388,8 @@ def _rule(
     rule_id: str, property_name: str, citation: str, scope: str,
     cases: tuple[Case, ...], special: Optional[str] = None,
 ) -> Rule:
-    """A row whose guard is its `scope`, all of it: `Rule.evaluate` decides
-    the row in any frame by itself.  The guard is parsed here, so an unknown
+    """A row whose guard is its `scope`, all of it: its decider decides the
+    row in any frame by itself.  The guard is parsed here, so an unknown
     phrase fails when the catalog is built."""
     for condition in _conditions(scope):
         _expression(condition)

@@ -20,7 +20,6 @@ from veryample import (
     Divisor,
     DomainError,
     FBundle,
-    Frame,
     HNStage,
     IndecBundle,
     NumClass,
@@ -228,11 +227,6 @@ VALUES = [
         "NumClass(rank=2, degree=1, coeffs=(((1, 0), 1),))",
     ),
     (lambda: Divisor(2, -1), "b", "Divisor(a=2, b=-1)"),
-    (
-        lambda: Frame(0, parse_bundle("2:1"), 2, -1),
-        "b",
-        "Frame(l=0, bundle=Bundle(atoms=(IndecBundle(rank=2, degree=1),)), a=2, b=-1)",
-    ),
     (
         lambda: Rule("R-X", "very_ample", "c", "every divisor",
                      (Case("", Strength.IFF, "a >= 1", None),)),

@@ -41,7 +41,6 @@ from veryample.rules import (
     GLOBALLY_GENERATED_RULES,
     NORMALLY_GENERATED_RULES,
     VERY_AMPLE_RULES,
-    Frame,
     Rule,
 )
 from veryample.verdicts import RuleFiring, Window
@@ -53,43 +52,55 @@ def va(text: str, a: int, b: int):
     return classify_very_ample(parse_bundle(text), Divisor(a, b))
 
 
+def _frame_cell(E, a, b, l=None):
+    """The cell of frame l, the canonical l0 by default: (a, b - a*l, sn,
+    sd, E(l)) with s = sn/sd, the arguments of a row's decider."""
+    if l is None:
+        l = -(E.degree // E.rank)
+    F = E.twist(l)
+    b -= a * l
+    low = F.slope_ends[0]
+    return a, b, b * low.rank + a * low.degree, low.rank, F
+
+
 class TestFrames:
     def test_canonical_frames_for_high_degree(self):
-        frame = canonical_frames(parse_bundle("3:4"), Divisor(2, -1))
-        assert (frame.l, frame.bundle, frame.b) == (-1, parse_bundle("3:1"), 1)
+        assert canonical_frames(parse_bundle("3:4"), Divisor(2, -1)) == (
+            -1, parse_bundle("3:1"), 2, 1)
 
     def test_canonical_frames_for_low_degree(self):
-        frame = canonical_frames(parse_bundle("2:1"), Divisor(2, 0))
-        assert (frame.l, frame.bundle, frame.b) == (0, parse_bundle("2:1"), 0)
-        frame = canonical_frames(parse_bundle("1:-3,2:-2"), Divisor(2, 0))
-        assert (frame.l, frame.bundle, frame.b) == (2, parse_bundle("1:-1,2:2"), -4)
+        assert canonical_frames(parse_bundle("2:1"), Divisor(2, 0)) == (
+            0, parse_bundle("2:1"), 2, 0)
+        assert canonical_frames(parse_bundle("1:-3,2:-2"), Divisor(2, 0)) == (
+            2, parse_bundle("1:-1,2:2"), 2, -4)
 
     @settings(max_examples=150, derandomize=True)
     @given(bundles(), st.integers(0, 5), st.integers(-8, 8))
     def test_frames_land_in_fundamental_window(self, E, a, b):
-        frame = canonical_frames(E, Divisor(a, b))
-        assert 0 <= frame.bundle.degree < E.rank
-        assert frame.bundle == E.twist(frame.l)
-        assert frame.b == b - a * frame.l
-        assert frame.s == pushforward_mu_minus(E, a, b)
+        l, F, fa, fb = canonical_frames(E, Divisor(a, b))
+        assert 0 <= F.degree < E.rank
+        assert F == E.twist(l)
+        assert (fa, fb) == (a, b - a * l)
+        cell = _frame_cell(E, a, b)
+        assert cell[:2] + cell[4:] == (fa, fb, F)
+        assert Fraction(cell[2], cell[3]) == pushforward_mu_minus(E, a, b)
 
     def test_the_next_frame_adds_no_decision(self):
         # in frame l0 + 1 every row is inapplicable or decides as in l0
         # (engine.py docstring), so deciding l0 alone loses nothing
-        rows = [rule for rule in ALL_RULES if rule.special is None]
+        rows = [(rule.rule_id, rules.decider(rule.rule_id))
+                for rule in ALL_RULES if rule.special is None]
         decisions = 0
         for E in TestGuards.SWEEP + small_bundles(4, 2):
             l = 1 - E.degree // E.rank
-            twisted = E.twist(l)
             for a in range(0, 7):
                 for b in range(-9, 9):
-                    here = canonical_frames(E, Divisor(a, b))
-                    there = Frame(l, twisted, a, b - a * l)
-                    for rule in rows:
-                        f, g = rule.evaluate(there), rule.evaluate(here)
-                        assert f.outcome is Outcome.INAPPLICABLE or (
-                            (f.outcome, f.strength) == (g.outcome, g.strength)
-                        ), (rule.rule_id, str(E), a, b)
+                    here, there = _frame_cell(E, a, b), _frame_cell(E, a, b, l)
+                    for rule_id, decide in rows:
+                        f, g = decide(*there), decide(*here)
+                        # (strength, outcome), or the guard failed in l0 + 1
+                        assert f is None or (g is not None and f[:2] == g[:2]), (
+                            rule_id, str(E), a, b)
                         decisions += 1
         assert decisions == 1_153_656
 
@@ -219,29 +230,33 @@ class TestFiringTrail:
         assert digest.hexdigest() == self.TRAIL_DIGEST
 
     def test_decide_matches_evaluate(self):
-        # the trail records what the engine decided; Rule.evaluate decides
-        # afresh, and each row's one firing must equal it field for field
+        # the trail decides only the rows E's plan admits; each row decided
+        # afresh by its decider in the canonical frame, excluded rows too,
+        # must fire the trail's one firing field for field
         rows = sorted((rule for rule in VERY_AMPLE_RULES if rule.special is None),
                       key=lambda rule: rule.rule_id)
         for E in small_bundles(4, 2):
+            l0 = -(E.degree // E.rank)
             for a in range(0, 5):
                 for b in range(-5, 6):
                     D = Divisor(a, b)
-                    frame = canonical_frames(E, D)
+                    cell = _frame_cell(E, a, b)
                     fired = [f for f in classify_very_ample(E, D).firings
                              if f.rule_id != "R-QUOT-NEC"]
-                    assert fired == [rule.evaluate(frame) for rule in rows], (str(E), a, b)
+                    assert fired == [
+                        rule.evaluate(l0, rules.decider(rule.rule_id)(*cell), cell)
+                        for rule in rows], (str(E), a, b)
 
 
-def _in_cell(expression, frame):
-    # an expression the catalog compiles, evaluated on the frame's cell
+def _in_cell(expression, cell):
+    # an expression the catalog compiles, evaluated on a frame's cell
     return eval(f"lambda {rules.CELL}: {expression}",
-                {"rank3_exception": rules.rank3_exception})(*frame.cell)
+                {"rank3_exception": rules.rank3_exception})(*cell)
 
 
-def _condition(text, frame):
+def _condition(text, cell):
     # one condition or comparison, decided by the expression a row compiles
-    return _in_cell(rules._expression(text), frame)
+    return _in_cell(rules._expression(text), cell)
 
 
 class TestGuards:
@@ -266,26 +281,28 @@ class TestGuards:
         applied = {}
         for E in self.SWEEP:
             l0 = -(E.degree // E.rank)
-            twists = [(l, E.twist(l)) for l in (l0, l0 + 1)]
+            twists = (l0, l0 + 1)
             for a in range(0, 7):
                 for b in range(-9, 9):
-                    cell = [str(E), a, b]
-                    for frame in (Frame(l, F, a, b - a * l) for l, F in twists):
+                    line = [str(E), a, b]
+                    for l in twists:
+                        cell = _frame_cell(E, a, b, l)
                         for rule in ALL_RULES:
-                            f = rule.evaluate(frame)
-                            cell.append((rule.rule_id, frame.l, code[f.outcome], code[f.strength]))
+                            f = rule.evaluate(l, rules.decider(rule.rule_id)(*cell), cell)
+                            line.append((rule.rule_id, f.frame, code[f.outcome],
+                                         code[f.strength]))
                             if f.strength is not None:
-                                applied[rule, frame.bundle] = frame
-                    digest.update(repr(cell).encode())
+                                applied[rule, cell[4]] = cell
+                    digest.update(repr(line).encode())
         assert digest.hexdigest() == self.DECISION_DIGEST
         # every case of every row decides somewhere in the sweep; a case
         # condition reads the frame's bundle only
         decided = {
             (rule.rule_id, next(
                 i for i, case in enumerate(rule.cases)
-                if i == len(rule.cases) - 1 or _condition(case.label, frame)
+                if i == len(rule.cases) - 1 or _condition(case.label, cell)
             ))
-            for (rule, _), frame in applied.items()
+            for (rule, _), cell in applied.items()
         }
         assert decided == {
             (rule.rule_id, i) for rule in ALL_RULES for i in range(len(rule.cases))
@@ -293,8 +310,9 @@ class TestGuards:
 
     def test_a_row_its_bundle_excludes_never_applies(self):
         # the guard split: a bundle part reads no cell field, and a row its
-        # bundle excludes is inapplicable in every cell on that bundle, in
-        # the frame the trail evaluates it in (R-QUOT-NEC's untwisted); the
+        # bundle excludes is inapplicable in every cell on that bundle, by
+        # its own decider, in the frame the trail writes it in
+        # (R-QUOT-NEC's untwisted), as the trail decides none of them; the
         # plan of each of the four catalogs holds exactly the rows its
         # admission keeps, each as its id and its decider, R-QUOT-NEC's
         # holding its screen
@@ -309,12 +327,12 @@ class TestGuards:
         for E in sweep:
             for a in range(0, 7):
                 for b in range(-9, 9):
-                    frame = canonical_frames(E, Divisor(a, b))
+                    l0, F, _, _ = canonical_frames(E, Divisor(a, b))
+                    cell = _frame_cell(E, a, b)
                     for name, catalog in rules.CATALOGS.items():
-                        admitted = rules.admits[name](frame.bundle)
+                        admitted = rules.admits[name](F)
                         l, twisted, low, plan = engine._twisted(name, E)
-                        assert (l, twisted, low) == (
-                            frame.l, frame.bundle, frame.bundle.slope_ends[0])
+                        assert (l, twisted, low) == (l0, F, F.slope_ends[0])
                         assert [rule_id for rule_id, _ in plan] == [
                             r.rule_id for r in admitted]
                         for rule_id, decide in plan:
@@ -325,8 +343,8 @@ class TestGuards:
                         for rule in catalog:
                             if rule in admitted:
                                 continue
-                            where = Frame(0, E, a, b) if rule.special else frame
-                            assert rule.evaluate(where).outcome is Outcome.INAPPLICABLE, (
+                            where = _frame_cell(E, a, b, 0) if rule.special else cell
+                            assert rules.decider(rule.rule_id)(*where) is None, (
                                 rule.rule_id, str(E), a, b)
                             excluded_decisions += 1
         assert (len(sweep), excluded_decisions) == (399, 634_158)
@@ -403,13 +421,13 @@ class TestIntegerDecision:
         for E in TestGuards.SWEEP + small_bundles(4, 2):
             for a in range(0, 7):
                 for b in range(-9, 9):
-                    frame = canonical_frames(E, Divisor(a, b))
+                    cell = _frame_cell(E, a, b)
                     for rule in rows:
-                        f = rule.evaluate(frame)
-                        if f.strength is None:
+                        k = rules.decider(rule.rule_id)(*cell)
+                        if k is None:
                             continue
-                        holds = all(c.holds for c in f.comparisons)
-                        assert f.outcome is rules._OUTCOMES[f.strength][holds], (
+                        holds = all(c.holds for c in k[2].comparisons(*cell))
+                        assert k[1] is rules._OUTCOMES[k[0]][holds], (
                             rule.rule_id, str(E), a, b)
                         applied += 1
         assert applied == 336_952
@@ -421,13 +439,13 @@ class TestIntegerDecision:
             ast.parse(rules._row_source(rule), feature_version=(3, 10))
 
     @staticmethod
-    def _check(frame, label, text, lhs, op, rhs):
+    def _check(cell, label, text, lhs, op, rhs):
         _, _, num, den, _, _ = rules._parse(text)
-        num, den = _in_cell(num, frame), _in_cell(den, frame)
+        num, den = _in_cell(num, cell), _in_cell(den, cell)
         assert den > 0 and Fraction(num, den) == lhs, text
         expected = lhs > rhs if op == ">" else lhs >= rhs
-        assert _condition(text, frame) is expected, text
-        built, = rules._builder(text)(*frame.cell)
+        assert _condition(text, cell) is expected, text
+        built, = rules._builder(text)(*cell)
         assert (built.lhs, built.op, built.rhs, built.holds) == (lhs, op, rhs, expected), text
 
     @settings(max_examples=300, derandomize=True)
@@ -436,8 +454,8 @@ class TestIntegerDecision:
            st.sampled_from([">", ">="]))
     def test_each_side_is_the_fraction_it_names(self, E, l, a, b, t, op):
         # every frame: any twist, any rank, a and b of either sign
-        frame = Frame(l, E.twist(l), a, b - a * l)
-        F, fb = frame.bundle, frame.b
+        cell = _frame_cell(E, a, b, l)
+        F, fb = cell[4], cell[1]
         assert set(LHS_FORMULAS) == set(rules._LHS)
         assert set(RHS_FORMULAS) == set(rules._RHS)
         for label, formula in LHS_FORMULAS.items():
@@ -445,13 +463,13 @@ class TestIntegerDecision:
                 lhs = formula(F, a, fb)
             except ZeroDivisionError:
                 continue
-            self._check(frame, label, f"{label} {op} {t}", lhs, op, t)
+            self._check(cell, label, f"{label} {op} {t}", lhs, op, t)
         for rhs, formula in RHS_FORMULAS.items():
             try:
                 threshold = formula(F)
             except ZeroDivisionError:
                 continue
-            self._check(frame, "b + a", f"b + a {op} {rhs}", fb + a, op, threshold)
+            self._check(cell, "b + a", f"b + a {op} {rhs}", fb + a, op, threshold)
 
 
 # five to seven atoms, mostly lines, repeated atoms included: the full
@@ -614,33 +632,38 @@ class TestLazyTrail:
         # Unknown, so the window is read too.  3:5 twists to 3:2 in l0 = -1.
         # The cell decides the 5 rows the indecomposable 3:2 admits, once
         # each, in l0, and evaluates none; the first read of the trail
-        # evaluates each of the 18 rows once, in catalog order, R-QUOT-NEC in
-        # frame 0 and the others in l0; a second read evaluates nothing
+        # decides the same 5 rows once more, by the plan's deciders in the
+        # same cell, and no other row, and writes each of the 18 rows once,
+        # in catalog order, R-QUOT-NEC in frame 0 and the others in l0; a
+        # second read decides and evaluates nothing
         decided = self._count_decisions(monkeypatch)
         evaluated = self._count(monkeypatch, Rule, "evaluate")
-        v = classify_very_ample(parse_bundle("3:5"), Divisor(2, -2))
+        E, D = parse_bundle("3:5"), Divisor(2, -2)
+        v = classify_very_ample(E, D)
         assert v.is_unknown and v.unknown_window.render() == "(0, 4/3]"
-        l0 = canonical_frames(parse_bundle("3:5"), Divisor(2, -2))
-        assert l0.l == -1
-        cell = list(decided)
-        assert cell == [(rule_id, l0.cell) for rule_id in (
+        assert canonical_frames(E, D)[0] == -1
+        in_cell = list(decided)
+        assert in_cell == [(rule_id, _frame_cell(E, 2, -2, -1)) for rule_id in (
             "R-FIBER", "R-MIYAOKA", "R-BUTLER", "R-A1-INDEC", "R-RK3-INDEC")]
         assert evaluated == []
         v.firings
-        trail = [(rule.rule_id, frame.l) for rule, frame in evaluated]
+        trail = [(rule.rule_id, l) for rule, l, k, cell in evaluated]
         assert trail == [(rule.rule_id, 0 if rule.special else -1) for rule in VERY_AMPLE_RULES]
-        assert len(decided) == len(cell)
-        before = len(evaluated)
+        assert decided == in_cell + in_cell
+        before = len(evaluated), len(decided)
         v.firings
-        assert len(evaluated) == before
+        assert (len(evaluated), len(decided)) == before
 
     def test_an_applicable_quotient_row_is_never_evaluated(self, monkeypatch):
         # on the decomposable 1:0,2:-1 at a = 2 the cell decides, in E's
         # frame, the 5 ordinary rows the bundle admits and R-QUOT-NEC by its
         # screen (which decides rows only on the sub-sum 2:-1), also at
         # a = 0, where it is inapplicable, and evaluates no row; the trail
-        # evaluates every row once on E, R-QUOT-NEC in frame 0, and writes
-        # it as one firing per screened sub-sum
+        # decides the same 5 rows once more in the same cell, and writes
+        # every ordinary row once in E's frame l0 = 1, and R-QUOT-NEC in
+        # frame 0: where it applies as one firing per screened sub-sum,
+        # evaluating no row for it, and at a = 0 as its one inapplicable
+        # firing
         decided = self._count_decisions(monkeypatch)
         evaluated = self._count(monkeypatch, Rule, "evaluate")
         E = parse_bundle("1:0,2:-1")
@@ -650,16 +673,18 @@ class TestLazyTrail:
             decided.clear()
             evaluated.clear()
             v = classify_very_ample(E, Divisor(a, b))
-            on_E = [rule_id for rule_id, cell in decided if cell[4].rank == E.rank]
-            assert on_E == admitted  # at a = 0 too: admission reads the bundle only
+            in_cell = [(rule_id, cell) for rule_id, cell in decided if cell[4].rank == E.rank]
+            # at a = 0 too: admission reads the bundle only
+            assert in_cell == [(rule_id, _frame_cell(E, a, b, 1)) for rule_id in admitted]
             assert evaluated == []
             quotient = [f for f in v.firings if f.rule_id == "R-QUOT-NEC"]
             assert [(f.outcome.value, f.frame) for f in quotient] == [
                 (outcome, 0) for outcome in outcomes]
-            on_E = [(rule.rule_id, frame.l, frame.bundle) for rule, frame in evaluated
-                    if frame.bundle.rank == E.rank]
-            assert on_E == [(rule.rule_id, 0, E) if rule.special else (rule.rule_id, 1, E.twist(1))
-                            for rule in VERY_AMPLE_RULES]
+            on_E = [(rule_id, cell) for rule_id, cell in decided if cell[4].rank == E.rank]
+            assert on_E == in_cell + in_cell
+            trail = [(rule.rule_id, l, cell) for rule, l, k, cell in evaluated]
+            assert trail == [(rule.rule_id, 0 if rule.special else 1, _frame_cell(E, a, b, 1))
+                             for rule in VERY_AMPLE_RULES if rule.special is None or a == 0]
 
     def test_verdict_equality_and_repr_leave_the_trail_out(self):
         E, D = parse_bundle("1:2,2:3"), Divisor(2, -2)
@@ -736,32 +761,37 @@ class TestLazyTrail:
         assert v.is_unknown and v.unknown_window.render() == "(0, 4/3]"
         assert (built["Comparison"], evaluated) == (0, [])
 
-    def test_a_cell_builds_no_frame(self, monkeypatch):
-        # a cell decides on its plan's integers, the screen's sub-sums too:
-        # from empty caches and with every trail unread, the four properties
-        # build no Frame over the sweep; reading one trail still builds its
-        # frames
-        built = []
-        original = Frame.__init__
-        monkeypatch.setattr(Frame, "__init__",
-                            lambda self, *args: built.append(args) or original(self, *args))
-        engine._twisted.cache_clear()
-        engine._proper_sub_multisets.cache_clear()
-        cells = 0
-        for E in small_bundles(4, 2) + WIDE_SUMS:
+    def test_the_trail_compiles_only_admitted_rows(self, monkeypatch):
+        # from empty caches, bundle by bundle, classifying every cell for
+        # the four properties and reading every trail compiles the rows the
+        # plans built admit (E's and those of the atoms its screen
+        # visits), each once, and no row a plan excludes; R-QUOT-NEC's
+        # decider is its screen, which compiles nothing.  The decider cache
+        # and the plan cache are fresh copies that go with the patch
+        compiled, built = [], []
+        row_source, plan = rules._row_source, engine._twisted.__wrapped__
+        monkeypatch.setattr(rules, "_row_source",
+                            lambda rule: compiled.append(rule.rule_id) or row_source(rule))
+        trails = 0
+        for E in small_bundles(4, 2):
+            compiled.clear()
+            built.clear()
+            decider = functools.lru_cache(maxsize=None)(rules.decider.__wrapped__)
+            monkeypatch.setattr(rules, "decider", decider)
+            monkeypatch.setattr(engine, "decider", decider)
+            monkeypatch.setattr(engine, "_twisted", functools.lru_cache(maxsize=None)(
+                lambda name, F: built.append(plan(name, F)) or built[-1]))
+            engine._proper_sub_multisets.cache_clear()
             for a in range(0, 5):
                 for b in range(-5, 6):
-                    D = Divisor(a, b)
-                    classify_very_ample(E, D)
-                    for name, lo, min_a in PROPERTIES[1:]:
+                    for name, lo, min_a in PROPERTIES:
                         if a >= min_a:
-                            _classify(name, E, D, lo)
-                    cells += 1
-        assert (cells, built) == (281 * 5 * 11, [])
-        v = classify_very_ample(parse_bundle("1:0,2:-1"), Divisor(2, 2))
-        assert built == []
-        v.firings
-        assert built
+                            _classify(name, E, Divisor(a, b), lo).firings
+                            trails += 1
+            admitted = [rule_id for _, _, _, rows in built for rule_id, _ in rows
+                        if rules.RULES_BY_ID[rule_id].special is None]
+            assert sorted(compiled) == sorted(set(admitted)), str(E)
+        assert trails == 275 * 11 * (5 + 5 + 4 + 4)
 
     def test_quotient_screen_stops_at_the_first_witness(self, monkeypatch):
         # 12 distinct lines: the first screened sub-sum, the lowest line
@@ -812,11 +842,11 @@ _PRUNING_ROWS = {"R-FIBER", "R-MIYAOKA", "R-A1-DEC", "R-RK2-DEC", "R-RK3-DEC"}
 def _quotient_decision(E, D):
     """R-QUOT-NEC's decision as a cell makes it, by the plan's decider in
     the cell's frame, where E's plan admits the row, and otherwise the
-    row's decision in frame 0, where its trail evaluates it."""
+    row's own decision in frame 0, where its trail writes it."""
     decide = dict(engine._twisted("very_ample", E)[3]).get(_QUOT.rule_id)
     if decide is None:
-        return rules.decider(_QUOT.rule_id)(*Frame(0, E, D.a, D.b).cell)
-    return decide(*canonical_frames(E, D).cell)
+        return rules.decider(_QUOT.rule_id)(*_frame_cell(E, D.a, D.b, 0))
+    return decide(*_frame_cell(E, D.a, D.b))
 
 
 def _outcome(decision):
@@ -859,8 +889,9 @@ class TestQuotientScreen:
             for a in range(0, 6):
                 for b in range(-9, 9):
                     D = Divisor(a, b)
-                    expected = decide(*Frame(0, E, a, b).cell)
-                    evaluated = _QUOT.evaluate(Frame(0, E, a, b))
+                    cell = _frame_cell(E, a, b, 0)
+                    expected = decide(*cell)
+                    evaluated = _QUOT.evaluate(0, expected, cell)
                     witness = any(engine._negative_witness(Q, D) is not None
                                   for Q in engine._proper_sub_multisets(E))
                     if evaluated.outcome is Outcome.PASS and witness:
@@ -880,7 +911,7 @@ class TestQuotientScreen:
         rejects = {}  # (Q, a, b) -> does Q carry a witness; sub-sums repeat
 
         def oracle(E, subs, D):
-            if _QUOT.evaluate(Frame(0, E, D.a, D.b)).outcome is Outcome.INAPPLICABLE:
+            if rules.decider(_QUOT.rule_id)(*_frame_cell(E, D.a, D.b, 0)) is None:
                 return Outcome.INAPPLICABLE
             for Q in subs:
                 key = (Q, D.a, D.b)
@@ -912,11 +943,11 @@ class TestQuotientScreen:
         if Q.is_indecomposable:
             return
         D = Divisor(a, b)
-        frame = canonical_frames(Q, D)
+        cell = _frame_cell(Q, a, b)
         saying_no = {
             rule.rule_id
             for rule in VERY_AMPLE_RULES
-            if rule is not _QUOT and rule.evaluate(frame).outcome is Outcome.NO
+            if rule is not _QUOT and _outcome(rules.decider(rule.rule_id)(*cell)) is Outcome.NO
         }
         assert saying_no <= _PRUNING_ROWS, (str(Q), a, b)
         if saying_no and a >= 1:
