@@ -21,20 +21,21 @@ at most one sub-sum per distinct atom (engine.py), so that product bounds
 a table's screening work.  A value past a cap exits 2.  Under the caps
 every integer the CLI prints stays within a few hundred digits.
 
-argparse quirk: a bare value like -2..3 looks like an option, so argv is
-pre-folded into --flag=value form before parsing.
+Flags follow the command in any order.  A flag's value is the next token,
+even one that starts with '-' (`--b -2..3`), or follows '=' (`--b=-2..3`);
+a flag may be cut to a unique prefix (`--form json`), and a repeated flag's
+last value wins.  `-h`/`--help`, after the command or alone, prints help to
+stdout and exits 0; any other malformed argv exits 2 with a `usage:` line on
+stderr and nothing on stdout.
 """
 
 from __future__ import annotations
 
 # json and csv are imported by the branches that print them, so that the
 # other outputs do not pay for the imports at start-up
-import argparse
-import io
 import os
 import re
 import sys
-from contextlib import redirect_stdout
 from typing import Optional, Sequence
 
 from .bundles import Bundle, BundleParseError, parse_bundle
@@ -56,7 +57,6 @@ _MAX_ABS_INT = 10**6  # |a|, |b| and every atom's |degree|
 _MAX_RANK = 64  # total rank of the bundle
 _MAX_CELLS = 10**5  # cells of one table
 _MAX_TABLE_SCREEN = 2**18  # a table's cells times its bundle's distinct atoms
-_FOLD_FLAGS = ("--a", "--b", "--bundle")
 # ASCII digits only, matched whole: \d takes any Unicode digit and $ a
 # trailing newline
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -65,20 +65,6 @@ _RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
 class UsageError(Exception):
     """Bad flag values: maps to exit code 2."""
-
-
-def _fold_flag_values(argv: list[str]) -> list[str]:
-    folded = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _FOLD_FLAGS and i + 1 < len(argv):
-            folded.append(f"{token}={argv[i + 1]}")
-            i += 2
-        else:
-            folded.append(token)
-            i += 1
-    return folded
 
 
 def _shown(value: int) -> str:
@@ -156,11 +142,11 @@ def _print_firings(v: Verdict) -> None:
         )
 
 
-def cmd_classify(ns: argparse.Namespace) -> int:
-    E = _capped_bundle(ns.bundle)
-    D = Divisor(_single_int("--a", ns.a), _single_int("--b", ns.b))
+def cmd_classify(opts: dict[str, str]) -> int:
+    E = _capped_bundle(opts["--bundle"])
+    D = Divisor(_single_int("--a", opts["--a"]), _single_int("--b", opts["--b"]))
     verdict = classify_very_ample(E, D)
-    if ns.format == "json":
+    if opts["--format"] == "json":
         import json
 
         payload = {
@@ -193,9 +179,9 @@ def cmd_classify(ns: argparse.Namespace) -> int:
 
 # -- invariants ----------------------------------------------------------------
 
-def cmd_invariants(ns: argparse.Namespace) -> int:
-    E = _capped_bundle(ns.bundle)
-    D = Divisor(_single_int("--a", ns.a), _single_int("--b", ns.b))
+def cmd_invariants(opts: dict[str, str]) -> int:
+    E = _capped_bundle(opts["--bundle"])
+    D = Divisor(_single_int("--a", opts["--a"]), _single_int("--b", opts["--b"]))
     va = classify_very_ample(E, D)  # also validates rank >= 2
     amp = classify_ample(E, D)
     verdicts: dict[str, Optional[Verdict]] = {}
@@ -213,7 +199,7 @@ def cmd_invariants(ns: argparse.Namespace) -> int:
     except H0UndefinedError:
         h0 = None
 
-    if ns.format == "json":
+    if opts["--format"] == "json":
         import json
 
         payload = {
@@ -291,10 +277,10 @@ def _verdict_summary_json(v: Optional[Verdict]) -> Optional[dict]:
 
 # -- table ---------------------------------------------------------------------
 
-def cmd_table(ns: argparse.Namespace) -> int:
-    E = _capped_bundle(ns.bundle)
-    a_range = _int_range("--a", ns.a)
-    b_range = _int_range("--b", ns.b)
+def cmd_table(opts: dict[str, str]) -> int:
+    E = _capped_bundle(opts["--bundle"])
+    a_range = _int_range("--a", opts["--a"])
+    b_range = _int_range("--b", opts["--b"])
     cells = len(a_range) * len(b_range)
     if cells > _MAX_CELLS:
         raise UsageError(
@@ -315,7 +301,7 @@ def cmd_table(ns: argparse.Namespace) -> int:
             strength = v.strength.value if v.strength else None
             rows.append((a, b, v.status, strength, v.binding_rule, v.slope_invariant))
 
-    if ns.format == "csv":
+    if opts["--format"] == "csv":
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -325,10 +311,10 @@ def cmd_table(ns: argparse.Namespace) -> int:
         for a, b, status, strength, binding, s in rows:
             writer.writerow([a, b, status, strength or "", binding or "", frac_text(s)])
         return 0
-    if ns.format == "atlas":
+    if opts["--format"] == "atlas":
         _print_atlas(E, a_range, b_range, rows)
         return 0
-    if ns.format == "json":
+    if opts["--format"] == "json":
         import json
 
         payload = {
@@ -380,8 +366,8 @@ def _print_atlas(E: Bundle, a_range: range, b_range: range, rows: list) -> None:
 
 # -- rules -----------------------------------------------------------------------
 
-def cmd_rules(ns: argparse.Namespace) -> int:
-    if ns.format == "json":
+def cmd_rules(opts: dict[str, str]) -> int:
+    if opts["--format"] == "json":
         import json
 
         payload = [
@@ -409,28 +395,99 @@ def cmd_rules(ns: argparse.Namespace) -> int:
 
 # -- wiring ------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="veryample",
-        description="exact divisor classification on projective bundles over an elliptic curve",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# One row per command: handler, formats (the first is the default), whether
+# it takes --bundle/--a/--b, and its help line.  The parser, the usage line
+# and the help all read this table.
+_COMMANDS = {
+    "classify": (cmd_classify, ("text", "json"), True,
+                 "very-ampleness verdict for one divisor"),
+    "invariants": (cmd_invariants, ("text", "json"), True,
+                   "bundle/divisor invariants and all verdicts"),
+    "table": (cmd_table, ("text", "csv", "json", "atlas"), True,
+              "sweep a and b over lo..hi ranges"),
+    "rules": (cmd_rules, ("text", "json"), False, "print the rule catalog"),
+}
+_DIVISOR_FLAGS = ("--bundle", "--a", "--b")
 
-    def add(name: str, handler, help_text: str, formats: tuple[str, ...], divisor: bool):
-        p = sub.add_parser(name, help=help_text)
-        if divisor:
-            p.add_argument("--bundle", required=True, help="bundle as r:d,r:d,...")
-            p.add_argument("--a", required=True, help="coefficient of T")
-            p.add_argument("--b", required=True, help="coefficient of f")
-        p.add_argument("--format", choices=formats, default="text")
-        p.set_defaults(handler=handler)
-        return p
 
-    add("classify", cmd_classify, "very-ampleness verdict for one divisor", ("text", "json"), True)
-    add("invariants", cmd_invariants, "bundle/divisor invariants and all verdicts", ("text", "json"), True)
-    add("table", cmd_table, "sweep ranges of a and b", ("text", "csv", "json", "atlas"), True)
-    add("rules", cmd_rules, "print the rule catalog", ("text", "json"), False)
-    return parser
+class _BadArgv(Exception):
+    """argv the command table does not take, as (command, message): exit 2."""
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return f"usage: veryample [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, formats, divisor, _ = _COMMANDS[command]
+    flags = "".join(f" {flag} {flag[2:].upper()}" for flag in _DIVISOR_FLAGS if divisor)
+    return f"usage: veryample {command} [-h]{flags} [--format {{{','.join(formats)}}}]"
+
+
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        about = "exact divisor classification on projective bundles over an elliptic curve"
+        width = max(map(len, _COMMANDS))
+        body = [f"  {name:<{width}}  {entry[3]}" for name, entry in _COMMANDS.items()]
+        body += ["", "veryample COMMAND -h describes the flags of one command."]
+    else:
+        _, formats, divisor, about = _COMMANDS[command]
+        body = ["BUNDLE is r:d,r:d,...; A and B are the coefficients of T and f."
+                ] if divisor else []
+        body.append(f"--format defaults to {formats[0]}.")
+    return "\n".join((_usage(command), "", about, "", *body)) + "\n"
+
+
+def _parse(args: list[str]) -> tuple[Optional[str], Optional[dict[str, str]]]:
+    """The command and its flag values; (command or None, None) asks for help.
+
+    An unknown flag or a stray token fails only at the end, so that a later
+    -h still shows help; any other fault fails at once."""
+    command, opts, unknown = None, {}, []
+    flags: tuple[str, ...] = ("--help",)
+    tokens = iter(args)
+    for token in tokens:
+        if token == "--":
+            raise _BadArgv(command, "unrecognized arguments: --")
+        if token == "-h":
+            return command, None
+        if not token.startswith("--"):
+            if command is not None or token.startswith("-") and token != "-":
+                unknown.append(token)
+                continue
+            if token not in _COMMANDS:
+                raise _BadArgv(None, f"unknown command {token!r} (choose from "
+                               f"{', '.join(_COMMANDS)})")
+            command = token
+            _, formats, divisor, _ = _COMMANDS[command]
+            flags = ("--help", "--format", *(_DIVISOR_FLAGS if divisor else ()))
+            continue
+        name, eq, value = token.partition("=")
+        # a flag's whole name, or a prefix of exactly one flag
+        matches = [name] if name in flags else [f for f in flags if f.startswith(name)]
+        if len(matches) != 1:
+            unknown.append(token)
+        elif matches[0] == "--help":
+            if eq:
+                raise _BadArgv(command, "--help takes no value")
+            return command, None
+        else:
+            flag = matches[0]
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise _BadArgv(command, f"{flag} expects a value")
+            if flag == "--format" and value not in formats:
+                raise _BadArgv(command, f"--format: {value!r} is not one of "
+                               f"{', '.join(formats)}")
+            opts[flag] = value
+    if command is None:
+        raise _BadArgv(None, "a command is required")
+    missing = [flag for flag in _DIVISOR_FLAGS if divisor and flag not in opts]
+    if missing:
+        raise _BadArgv(command, f"missing {', '.join(missing)}")
+    if unknown:
+        raise _BadArgv(command, f"unrecognized arguments: {' '.join(unknown)}")
+    opts.setdefault("--format", formats[0])
+    return command, opts
 
 
 def _discard_stdout() -> None:
@@ -446,21 +503,18 @@ def _discard_stdout() -> None:
 
 
 def _run(args: list[str]) -> int:
-    # argparse drops the errors of its own writes, so its help text is
-    # written here, where main's flush sees them
-    shown = io.StringIO()
     try:
-        with redirect_stdout(shown):
-            ns = _build_parser().parse_args(args)
-    except SystemExit as exc:
-        if exc.code not in (0, None):
-            return 2
-        # only help or version text; on an error argparse wrote nothing
-        # here, and writing even "" to a full stdout would fail the flush
-        sys.stdout.write(shown.getvalue())
+        command, opts = _parse(args)
+    except _BadArgv as exc:
+        command, message = exc.args
+        prog = "veryample" if command is None else f"veryample {command}"
+        print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+        return 2
+    if opts is None:
+        sys.stdout.write(_help(command))
         return 0
     try:
-        return ns.handler(ns)
+        return _COMMANDS[command][0](opts)
     except BundleParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -473,9 +527,8 @@ def _run(args: list[str]) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _fold_flag_values(list(sys.argv[1:] if argv is None else argv))
     try:
-        code = _run(args)
+        code = _run(list(sys.argv[1:] if argv is None else argv))
         sys.stdout.flush()
         return code
     except OSError as exc:  # BrokenPipeError included: stdout closed or full

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import errno
 import hashlib
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veryample import Divisor, classify_very_ample, parse_bundle
+from veryample import Divisor, cli, classify_very_ample, parse_bundle
 from veryample.cli import main
 
 from conftest import bundles
@@ -269,14 +270,23 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "past the cap" in err
 
-    def test_argparse_failures_map_to_2(self, capsys):
-        assert run(capsys, "nonsense")[0] == 2
-        assert run(capsys, "classify", "--bundle", "2:1", "--a", "1")[0] == 2
-        assert run(capsys, "classify", "--bundle", "2:1", "--a", "1",
-                   "--b", "0", "--format", "yaml")[0] == 2
+    def test_usage_failures_map_to_2(self, capsys):
+        for argv in (("nonsense",), ("classify", "--bundle", "2:1", "--a", "1"),
+                     ("classify", "--bundle", "2:1", "--a", "1", "--b", "0",
+                      "--format", "yaml")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("usage: veryample"), argv
 
     def test_help_is_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("command", ["classify", "invariants", "table", "rules"])
+    def test_command_help_shows_its_own_usage(self, capsys, command):
+        for flag in ("-h", "--help", "--he"):
+            code, out, err = run(capsys, command, flag)
+            assert (code, err) == (0, ""), flag
+            assert out.startswith(f"usage: veryample {command} [-h] "), flag
 
 
 # junk is a small share of each draw, so many argv reach the engine
@@ -287,25 +297,32 @@ _VALUES = st.one_of(_INTS, _INTS, _INTS, _RANGES, _JUNK)
 _BUNDLES = bundles(min_rank=1, max_rank=5, max_abs_degree=4).map(str)
 
 
+def _fuzz_argv(command, bundle, a, b, fmt, drop, extra) -> list[str]:
+    argv = [command]
+    for flag, value in (("--bundle", bundle), ("--a", a), ("--b", b)):
+        if flag != drop and command != "rules":
+            argv += [flag, value]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    return argv + list(extra)
+
+
+_ARGV = st.builds(
+    _fuzz_argv,
+    command=st.sampled_from(("classify", "invariants", "table", "table", "rules", "tabel")),
+    bundle=st.one_of(_BUNDLES, _BUNDLES, _BUNDLES, _JUNK),
+    a=_VALUES,
+    b=_VALUES,
+    fmt=st.sampled_from((None,) * 3 + ("text", "json", "csv", "atlas", "yaml")),
+    drop=st.sampled_from((None,) * 12 + ("--bundle", "--a", "--b")),
+    extra=st.sampled_from(((),) * 12 + (("--a",), ("--zzz",), ("-",), ("--b", "1"))),
+)
+
+
 class TestGrammarFuzz:
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(
-        command=st.sampled_from(("classify", "invariants", "table", "table", "rules", "tabel")),
-        bundle=st.one_of(_BUNDLES, _BUNDLES, _BUNDLES, _JUNK),
-        a=_VALUES,
-        b=_VALUES,
-        fmt=st.sampled_from((None,) * 3 + ("text", "json", "csv", "atlas", "yaml")),
-        drop=st.sampled_from((None,) * 12 + ("--bundle", "--a", "--b")),
-        extra=st.sampled_from(((),) * 12 + (("--a",), ("--zzz",), ("-",), ("--b", "1"))),
-    )
-    def test_main_exits_0_2_or_3(self, command, bundle, a, b, fmt, drop, extra):
-        argv = [command]
-        for flag, value in (("--bundle", bundle), ("--a", a), ("--b", b)):
-            if flag != drop and command != "rules":
-                argv += [flag, value]
-        if fmt is not None:
-            argv += ["--format", fmt]
-        argv += extra
+    @given(argv=_ARGV)
+    def test_main_exits_0_2_or_3(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
@@ -332,6 +349,134 @@ class _FullStdout(io.StringIO):
 
     def write(self, text: str) -> int:
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _oracle_fold(argv: list[str]) -> list[str]:
+    # the argparse front end this CLI had before its command table: a bare
+    # value like -2..3 looks like an option to argparse, so argv was folded
+    # into --flag=value form first
+    folded = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token in ("--a", "--b", "--bundle") and i + 1 < len(argv):
+            folded.append(f"{token}={argv[i + 1]}")
+            i += 2
+        else:
+            folded.append(token)
+            i += 1
+    return folded
+
+
+def _oracle_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="veryample",
+        description="exact divisor classification on projective bundles over an elliptic curve",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name: str, help_text: str, formats: tuple[str, ...], divisor: bool):
+        p = sub.add_parser(name, help=help_text)
+        if divisor:
+            p.add_argument("--bundle", required=True, help="bundle as r:d,r:d,...")
+            p.add_argument("--a", required=True, help="coefficient of T")
+            p.add_argument("--b", required=True, help="coefficient of f")
+        p.add_argument("--format", choices=formats, default="text")
+
+    add("classify", "very-ampleness verdict for one divisor", ("text", "json"), True)
+    add("invariants", "bundle/divisor invariants and all verdicts", ("text", "json"), True)
+    add("table", "sweep ranges of a and b", ("text", "csv", "json", "atlas"), True)
+    add("rules", "print the rule catalog", ("text", "json"), False)
+    return parser
+
+
+def _argparse_parse(argv):
+    """The argparse oracle: its exit code, or (command, bundle, a, b, format)."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            ns = _oracle_parser().parse_args(_oracle_fold(list(argv)))
+    except SystemExit as exc:
+        return exc.code or 0
+    return (ns.command, getattr(ns, "bundle", None), getattr(ns, "a", None),
+            getattr(ns, "b", None), ns.format)
+
+
+def _table_parse(argv):
+    """The command table's answer, in the oracle's terms."""
+    try:
+        command, opts = cli._parse(list(argv))
+    except cli._BadArgv:
+        return 2
+    if opts is None:  # help
+        return 0
+    return (command, opts.get("--bundle"), opts.get("--a"), opts.get("--b"),
+            opts["--format"])
+
+
+class TestParserAgainstArgparse:
+    # exit codes and parsed values only: argparse's wording differs across
+    # Python versions, and the command table words its own messages
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(argv=_ARGV)
+    def test_fuzzed_argv(self, argv):
+        assert _table_parse(argv) == _argparse_parse(argv), argv
+
+    @pytest.mark.parametrize("argv", [
+        # abbreviations, = values, values that start with '-'
+        ("classify", "--form", "json", "--bundle", "2:1", "--a", "1", "--b", "0"),
+        ("invariants", "--bun", "2:1", "--a", "1", "--b", "0", "--f=json"),
+        ("table", "--bundle=2:1", "--a=1..3", "--b", "-2..3", "--format", "atlas"),
+        ("classify", "--bundle", "2:1", "--a", "-1", "--b", "-2"),
+        ("classify", "--a", "--b", "--b", "-h", "--bundle", "-x"),
+        # repeated flags: the last one wins
+        ("classify", "--bundle", "2:1", "--a", "1", "--b", "0", "--bundle", "3:1",
+         "--a=2", "--format", "json", "--format", "text"),
+        ("table", "--bu", "2:1", "--a", "1", "--b", "0", "--bu=3:1"),
+        # help, before or after the command, and after a fault reported late
+        ("-h",), ("--help",), ("--he",), ("-h", "nonsense"), ("--zzz", "-h"),
+        ("classify", "-h"), ("rules", "--help"), ("classify", "--bundle", "2:1", "--h"),
+        ("classify", "--zzz", "-h"), ("classify", "stray", "-h"), ("classify", "-5", "-h"),
+        ("classify", "-h", "--format", "yaml"),
+        # faults reported at once, even before a later -h
+        ("classify", "--format", "yaml", "-h"), ("nonsense", "-h"),
+        ("classify", "--bundle", "2:1", "--a", "1", "--b"), ("rules", "--format"),
+        ("classify", "--bundle", "2:1", "--a", "1", "--b", "0", "--form"),
+        # unknown commands, flags and stray tokens
+        (), ("nonsense",), ("tabel", "--bundle", "2:1"), ("-",), ("-", "classify"),
+        ("classify", "--bundle", "2:1", "--a", "1", "--b", "0", "-"),
+        ("classify", "--bundle", "2:1", "--a", "1", "--b", "0", "-5"),
+        ("classify", "---bundle", "2:1", "--a", "1", "--b", "0"),
+        ("classify", "classify", "--bundle", "2:1", "--a", "1", "--b", "0"),
+        ("--zzz", "classify", "--bundle", "2:1", "--a", "1", "--b", "0"),
+        ("rules",), ("rules", "--a", "1"), ("rules", "--f", "json"), ("rules", "--f", "j"),
+        ("classify", "--bundle=", "--a", "1", "--b", "0"),
+    ], ids=repr)
+    def test_hand_cases(self, argv):
+        assert _table_parse(argv) == _argparse_parse(argv)
+
+    @pytest.mark.parametrize("argv, expected", [
+        # argparse's handling of '--' has changed across Python versions;
+        # the command table takes no '--' anywhere
+        (("classify", "--bundle", "2:1", "--a", "1", "--b", "0", "--"), 2),
+        (("classify", "--", "--bundle", "2:1", "--a", "1", "--b", "0"), 2),
+        (("--", "classify"), 2),
+        # help takes no value, as in argparse
+        (("classify", "-hx"), 2),
+        (("classify", "--help=1"), 2),
+        (("classify", "--help=1", "-h"), 2),
+        # the argparse front end folded `--a 1` into one unknown token before
+        # the command, so the -h won; here `1` is read as the command
+        (("--a", "1", "-h"), 2),
+        # argparse refused a dash value after an abbreviated flag; here a
+        # flag's value is the next token, and the bundle fails to parse
+        (("classify", "--bun", "-h", "--a", "1", "--b", "0"),
+         ("classify", "-h", "1", "0", "text")),
+    ], ids=repr)
+    def test_pinned_cases(self, capsys, argv, expected):
+        assert _table_parse(argv) == expected
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(("usage: veryample", "error:"))
 
 
 class TestTable:
@@ -501,12 +646,14 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     # every CLI process pays for what `import veryample.cli` loads; pytest
     # and hypothesis import these modules themselves, so a fresh interpreter
     # is asked what the import adds.  json and csv are imported only by the
-    # commands that print them
+    # commands that print them, and argv is parsed without argparse, which
+    # also pulls in gettext
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; before = set(sys.modules); import veryample.cli; "
-         "print(sorted({'dataclasses', 'inspect', 'json', 'csv'} "
+         "print(sorted({'dataclasses', 'inspect', 'json', 'csv', 'argparse', "
+         "'gettext'} "
          "& (set(sys.modules) - before)))"],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src),
@@ -581,7 +728,7 @@ class TestClosedOutput:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_help_to_a_full_device_exits_4(self):
-        # argparse drops its own write errors; the help text must not
+        # help goes to stdout like any output, so a full device fails it
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "veryample.cli", "--help"],
